@@ -16,7 +16,7 @@ fn print_series() {
     eprintln!("stage steps | SIMD latency | skewed latency | 3-cell latency (SIMD/skewed)");
     for steps in [4u32, 8, 16, 32, 64] {
         let stage = paper::fig_3_1_stage(steps as usize, steps - 2, steps - 1);
-        let cmp = ModelComparison::of(&stage, &paper::paper_loops(), Dir::Right);
+        let cmp = ModelComparison::of(&stage, Dir::Right);
         eprintln!(
             "{:>11} | {:>12} | {:>14} | {} / {}",
             steps,
@@ -34,9 +34,8 @@ fn bench_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig3_1_model");
     for steps in [4usize, 64] {
         let stage = paper::fig_3_1_stage(steps, steps as u32 - 2, steps as u32 - 1);
-        let loops = paper::paper_loops();
         group.bench_function(format!("compare_{steps}_steps"), |b| {
-            b.iter(|| ModelComparison::of(black_box(&stage), &loops, Dir::Right))
+            b.iter(|| ModelComparison::of(black_box(&stage), Dir::Right))
         });
     }
     group.finish();

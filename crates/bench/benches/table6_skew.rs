@@ -11,7 +11,7 @@ use warp_skew::{analyze, extract, min_skew_bound, paper, SkewOptions, Timeline};
 fn print_tables() {
     // Table 6-1.
     let code = paper::fig_6_2_code();
-    let tl = Timeline::build(&code, &paper::paper_loops());
+    let tl = Timeline::build(&code);
     eprintln!("\n=== Table 6-1: straight-line program (Figure 6-2) ===");
     eprintln!("n | tau_O | tau_I | tau_O - tau_I");
     let outs = &tl.sends[&(Dir::Right, Chan::X)];
@@ -23,7 +23,7 @@ fn print_tables() {
 
     // Table 6-2.
     let code = paper::fig_6_4_code();
-    let tl = Timeline::build(&code, &paper::paper_loops());
+    let tl = Timeline::build(&code);
     eprintln!("\n=== Table 6-2: loop program (Figure 6-4) ===");
     eprintln!("n | tau_O | tau_I | tau_O - tau_I");
     let outs = &tl.sends[&(Dir::Right, Chan::X)];
@@ -86,16 +86,13 @@ fn bench_skew(c: &mut Criterion) {
     let mut group = c.benchmark_group("table6_skew");
     group.bench_function("fig6_4_exact", |b| {
         let code = paper::fig_6_4_code();
-        let loops = paper::paper_loops();
-        b.iter(|| analyze(black_box(&code), &loops, &SkewOptions::default()).expect("ok"))
+        b.iter(|| analyze(black_box(&code), &SkewOptions::default()).expect("ok"))
     });
     group.bench_function("fig6_4_analytic", |b| {
         let code = paper::fig_6_4_code();
-        let loops = paper::paper_loops();
         b.iter(|| {
             analyze(
                 black_box(&code),
-                &loops,
                 &SkewOptions {
                     method: warp_skew::SkewMethod::Analytic,
                     ..SkewOptions::default()
@@ -109,9 +106,8 @@ fn bench_skew(c: &mut Criterion) {
     // analytic bound does not.
     for scale in [1u64, 100, 10_000] {
         let code = scaled_program(scale);
-        let loops = paper::paper_loops();
         group.bench_function(format!("exact_scale_{scale}"), |b| {
-            b.iter(|| Timeline::build(black_box(&code), &loops).min_skew(Dir::Right))
+            b.iter(|| Timeline::build(black_box(&code)).min_skew(Dir::Right))
         });
         group.bench_function(format!("analytic_scale_{scale}"), |b| {
             b.iter(|| {

@@ -69,32 +69,15 @@ fn build_regions(shapes: &[ProgShape], next_loop: &mut u32) -> Vec<warp::cell::C
     out
 }
 
-fn build_code(
-    shapes: &[ProgShape],
-) -> (
-    warp::cell::CellCode,
-    warp_common::IdVec<warp_ir::LoopId, warp_ir::region::LoopMeta>,
-) {
+fn build_code(shapes: &[ProgShape]) -> warp::cell::CellCode {
     let mut next_loop = 0;
-    let regions = build_regions(shapes, &mut next_loop);
-    let mut loops = warp_common::IdVec::new();
-    for _ in 0..next_loop.max(1) {
-        loops.push(warp_ir::region::LoopMeta {
-            var: w2_lang::hir::VarId(0),
-            lo: 0,
-            count: 0,
-        });
+    warp::cell::CellCode {
+        name: "prop".into(),
+        regions: build_regions(shapes, &mut next_loop),
+        regs_used: 0,
+        scratch_words: 0,
+        pipelined: vec![],
     }
-    (
-        warp::cell::CellCode {
-            name: "prop".into(),
-            regions,
-            regs_used: 0,
-            scratch_words: 0,
-            pipelined: vec![],
-        },
-        loops,
-    )
 }
 
 proptest! {
@@ -105,8 +88,8 @@ proptest! {
     #[test]
     fn timing_functions_match_enumeration(shapes in prop::collection::vec(shape_strategy(3), 1..4)) {
         use w2_lang::ast::{Chan, Dir};
-        let (code, loops) = build_code(&shapes);
-        let tl = Timeline::build(&code, &loops);
+        let code = build_code(&shapes);
+        let tl = Timeline::build(&code);
         let stmts = extract(&code);
         for (key, times) in tl.recvs.iter().chain(tl.sends.iter()) {
             let is_recv = tl.recvs.contains_key(key) && tl.recvs.get(key).map(|v| std::ptr::eq(v, times)).unwrap_or(false);
@@ -135,8 +118,8 @@ proptest! {
     #[test]
     fn analytic_skew_bound_sound(shapes in prop::collection::vec(shape_strategy(3), 1..4)) {
         use w2_lang::ast::Dir;
-        let (code, loops) = build_code(&shapes);
-        let tl = Timeline::build(&code, &loops);
+        let code = build_code(&shapes);
+        let tl = Timeline::build(&code);
         let outs = tl.sends.get(&(Dir::Right, w2_lang::ast::Chan::X));
         let ins = tl.recvs.get(&(Dir::Left, w2_lang::ast::Chan::X));
         if let (Some(outs), Some(ins)) = (outs, ins) {
@@ -164,8 +147,8 @@ proptest! {
         delta in 0i64..40,
     ) {
         use w2_lang::ast::{Chan, Dir};
-        let (code, loops) = build_code(&shapes);
-        let tl = Timeline::build(&code, &loops);
+        let code = build_code(&shapes);
+        let tl = Timeline::build(&code);
         let outs = tl.sends.get(&(Dir::Right, Chan::X));
         let ins = tl.recvs.get(&(Dir::Left, Chan::X));
         if let (Some(outs), Some(ins)) = (outs, ins) {

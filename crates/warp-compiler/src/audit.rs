@@ -29,7 +29,6 @@ use crate::{corpus, CompileOptions, CompiledModule};
 use std::fmt;
 use w2_lang::hir::VarKind;
 use warp_common::DiagnosticBag;
-use warp_host::HostWordSource;
 use warp_sim::{splitmix64, Fault, FaultPlan, SimError, SimOptions};
 
 /// Options for one audit.
@@ -146,19 +145,9 @@ impl fmt::Display for AuditReport {
 /// `[0.25, 1.25)` (bounded away from zero so corrupted words cannot
 /// vanish in a multiplication).
 pub fn seeded_inputs(module: &CompiledModule, seed: u64) -> Vec<(String, Vec<f32>)> {
-    let mut input_vars: Vec<_> = module
+    module
         .host
-        .inputs
-        .values()
-        .flatten()
-        .filter_map(|w| match w {
-            HostWordSource::Elem { var, .. } => Some(*var),
-            HostWordSource::Lit(_) => None,
-        })
-        .collect();
-    input_vars.sort();
-    input_vars.dedup();
-    input_vars
+        .input_vars()
         .into_iter()
         .map(|var| {
             let info = &module.ir.vars[var];
@@ -367,8 +356,8 @@ pub fn audit(module: &CompiledModule, opts: &AuditOptions) -> AuditReport {
         .host
         .inputs
         .iter()
-        .find(|(_, words)| !words.is_empty())
-        .map(|(chan, words)| (*chan, words.len()));
+        .map(|(chan, script)| (*chan, script.word_count() as usize))
+        .find(|&(_, len)| len > 0);
     checks.push(match input_chan {
         None => CheckOutcome::skip(
             "detect:input-truncate",
@@ -396,7 +385,7 @@ pub fn audit(module: &CompiledModule, opts: &AuditOptions) -> AuditReport {
         .host
         .outputs
         .iter()
-        .find(|(_, sinks)| sinks.iter().any(Option::is_some))
+        .find(|(_, script)| script.binds_any_var())
         .map(|(chan, _)| *chan);
     checks.push(match output_chan {
         None => CheckOutcome::skip(
@@ -421,15 +410,15 @@ pub fn audit(module: &CompiledModule, opts: &AuditOptions) -> AuditReport {
     // a deliberately discarded warm-up prefix (conv1d pads its first
     // taps-1 partial sums), so target the globally *last* word on the
     // output channel: cells are homogeneous, so each sends
-    // `outputs[chan].len()` words on `chan`, and the final cell — which
-    // finishes last — commits the final one, bound to the last output
-    // element.
+    // `outputs[chan].word_count()` words on `chan`, and the final cell —
+    // which finishes last — commits the final one, bound to the last
+    // output element.
     let corrupt_target = module
         .host
         .outputs
         .iter()
-        .find(|(_, sinks)| sinks.last().is_some_and(Option::is_some))
-        .map(|(chan, sinks)| (*chan, u64::from(module.n_cells) * sinks.len() as u64 - 1));
+        .find(|(_, script)| script.last_word().is_some_and(Option::is_some))
+        .map(|(chan, script)| (*chan, u64::from(module.n_cells) * script.word_count() - 1));
     checks.push(match corrupt_target {
         None => CheckOutcome::skip(
             "detect:word-corrupt",

@@ -140,12 +140,17 @@ pub fn cache_key(source: &str, opts: &CompileOptions, ctrl: &SessionCtrl) -> Con
     }
 }
 
-/// Rough resident size of a module: the µcode stores dominate, plus a
-/// fixed overhead for the IR tables. Only relative accuracy matters —
-/// the budget trades off "how many modules stay warm".
+/// Resident bytes charged per host transfer-script step.
+pub const HOST_STEP_BYTES: u64 = 128;
+
+/// Rough resident size of a module: the µcode stores and the host
+/// transfer descriptors, plus a fixed overhead for the IR tables. Only
+/// relative accuracy matters — the budget trades off "how many modules
+/// stay warm".
 pub fn estimate_module_bytes(module: &CompiledModule) -> u64 {
     4096 + u64::from(module.metrics.cell_ucode) * 64
         + module.metrics.iu_ucode * 64
+        + module.host.step_count() as u64 * HOST_STEP_BYTES
         + module.name.len() as u64
 }
 
@@ -480,6 +485,19 @@ mod tests {
             },
             Arc::new(ManualClock::new(0)),
         )
+    }
+
+    #[test]
+    fn estimate_charges_the_host_descriptor() {
+        let mut module = compile_ok().expect("compiles");
+        let steps = module.host.step_count() as u64;
+        assert!(steps > 0, "polynomial transfers host words");
+        let with_host = estimate_module_bytes(&module);
+        module.host = warp_host::HostProgram::default();
+        assert_eq!(
+            with_host - estimate_module_bytes(&module),
+            steps * HOST_STEP_BYTES
+        );
     }
 
     #[test]

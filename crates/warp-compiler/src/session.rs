@@ -303,7 +303,6 @@ impl<'obs> Session<'obs> {
             .run_pass("skew", |opts| {
                 analyze(
                     &cell_code,
-                    &ir.loops,
                     &SkewOptions {
                         method: opts.skew_method,
                         queue_capacity: u64::from(opts.machine.queue_capacity),

@@ -53,7 +53,10 @@ use crate::{passes, CompileFailure, CompiledModule, Metrics};
 /// any wire impl reachable from [`CompiledModule`] changes (field
 /// order, enum tags, pass names): old records then quarantine as
 /// stale instead of misdecoding.
-pub const STORE_SCHEMA_VERSION: u16 = 1;
+///
+/// Version 2 replaced the per-word host transfer lists with loop-nest
+/// descriptors.
+pub const STORE_SCHEMA_VERSION: u16 = 2;
 
 /// File extension of persisted artifacts.
 pub const ARTIFACT_EXT: &str = "wart";
@@ -727,6 +730,27 @@ mod tests {
         let store = mem_store(&vfs, 0);
         let s = store.stats();
         assert_eq!((s.recovered, s.quarantined), (0, 1));
+        assert_eq!(vfs.file_count(), 0);
+    }
+
+    #[test]
+    fn schema_1_record_quarantines_instead_of_misdecoding() {
+        // Schema 1 stored one host transfer entry per word. A record of
+        // that version must never reach the descriptor decoder, even
+        // when its checksum is intact.
+        assert_eq!(STORE_SCHEMA_VERSION, 2);
+        let vfs = MemVfs::new();
+        let vfs_dyn: &dyn Vfs = &vfs;
+        let module = compile_ok(corpus::POLYNOMIAL);
+        let path = PathBuf::from(format!("/store/{}.{ARTIFACT_EXT}", key_of(3)));
+        vfs_dyn.create_dir_all(Path::new("/store")).unwrap();
+        vfs_dyn
+            .write(&path, &record::encode(1, &artifact_bytes(&module)))
+            .unwrap();
+        let store = mem_store(&vfs, 0);
+        let s = store.stats();
+        assert_eq!((s.recovered, s.quarantined), (0, 1));
+        assert!(store.get(key_of(3)).is_none());
         assert_eq!(vfs.file_count(), 0);
     }
 

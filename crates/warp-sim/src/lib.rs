@@ -57,7 +57,6 @@ mod tests {
         let cell = cell_codegen(&ir, &machine).expect("cell codegen");
         let skew = analyze(
             &cell,
-            &ir.loops,
             &SkewOptions {
                 n_cells: ir.n_cells,
                 ..SkewOptions::default()

@@ -28,7 +28,7 @@ use warp_cell::{
     AddrSource, AluOp, CellCode, CellMachine, FpuField, IoField, MemField, Operand, Reg,
 };
 use warp_common::CancelToken;
-use warp_host::{HostMemory, HostProgram, HostWordSource};
+use warp_host::{HostCursor, HostMemory, HostProgram, HostScript, HostWord};
 use warp_ir::CmpOp;
 use warp_iu::IuProgram;
 
@@ -236,22 +236,24 @@ fn run_impl(
     let chan_of = |ci: usize| if ci == 0 { Chan::X } else { Chan::Y };
 
     // Boundary input: the host sustains full bandwidth (paper §2.1), so
-    // the input stream is modeled as an unbounded pre-filled queue.
-    let mut boundary_in: [VecDeque<f32>; 2] = [VecDeque::new(), VecDeque::new()];
-    for (chan, sources) in &cfg.host_program.inputs {
-        let q = &mut boundary_in[chan_idx(*chan)];
-        for s in sources {
-            q.push_back(match *s {
-                HostWordSource::Lit(v) => v,
-                HostWordSource::Elem { var, index } => host.word(var, index),
-            });
-        }
-    }
-    for fault in &plan.faults {
-        if let Fault::TruncateInput { chan, keep } = fault {
-            boundary_in[chan_idx(*chan)].truncate(*keep);
-        }
-    }
+    // each channel's input is a cursor over its transfer script that
+    // yields a word whenever the boundary cell receives one. Truncation
+    // faults cap the cursor.
+    let mut boundary_in: [HostCursor; 2] = [Chan::X, Chan::Y].map(|chan| {
+        let cap = plan
+            .faults
+            .iter()
+            .filter_map(|fault| match fault {
+                Fault::TruncateInput { chan: c, keep } if *c == chan => Some(*keep as u64),
+                _ => None,
+            })
+            .fold(u64::MAX, u64::min);
+        cfg.host_program
+            .inputs
+            .get(&chan)
+            .unwrap_or(&HostScript::default())
+            .cursor_capped(cap)
+    });
     let mut boundary_out: [Vec<f32>; 2] = [Vec::new(), Vec::new()];
 
     let span = cfg.cell_code.dynamic_len();
@@ -442,12 +444,16 @@ fn run_impl(
         // Phase 2: receives (after every send has committed).
         for r in recvs {
             debug_assert!(r.upstream);
-            let q = if r.pos == 0 {
-                &mut boundary_in[chan_idx(r.chan)]
+            let word = if r.pos == 0 {
+                boundary_in[chan_idx(r.chan)].next().map(|w| match w {
+                    HostWord::Lit(v) => v,
+                    HostWord::Elem { var, index } => host.word(var, index),
+                    HostWord::Discard => 0.0,
+                })
             } else {
-                &mut queues[r.pos][chan_idx(r.chan)]
+                queues[r.pos][chan_idx(r.chan)].pop_front()
             };
-            let Some(v) = q.pop_front() else {
+            let Some(v) = word else {
                 fail!(SimError::QueueUnderflow {
                     cell: r.pos,
                     chan: r.chan,
@@ -492,19 +498,20 @@ fn run_impl(
 
     // Deliver collected boundary output to host memory.
     let mut words_out = 0u64;
-    for (chan, sinks) in &cfg.host_program.outputs {
+    for (chan, script) in &cfg.host_program.outputs {
         let collected = &boundary_out[chan_idx(*chan)];
-        if collected.len() != sinks.len() {
+        let expected = script.word_count() as usize;
+        if collected.len() != expected {
             fail!(SimError::OutputCountMismatch {
                 chan: *chan,
-                expected: sinks.len(),
+                expected,
                 got: collected.len(),
             });
         }
-        for (sink, &v) in sinks.iter().zip(collected) {
+        for (sink, &v) in script.cursor().zip(collected) {
             words_out += 1;
-            if let Some((var, index)) = sink {
-                host.set_word(*var, *index, v);
+            if let HostWord::Elem { var, index } = sink {
+                host.set_word(var, index, v);
             }
         }
     }

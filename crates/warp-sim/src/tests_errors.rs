@@ -11,11 +11,16 @@ use warp_cell::{
     AddrSource, BlockCode, CellCode, CellMachine, CodeRegion, IoField, MemField, MicroInst,
     Operand, Reg,
 };
-use warp_host::HostMemory;
+use warp_host::{HostMemory, HostScript, HostStep};
 use warp_iu::{EmitPlan, EmitSource, IuBlock, IuProgram, IuRegion};
 
 fn empty_host() -> HostMemory {
     HostMemory::default()
+}
+
+/// An output script of `n` discarded words.
+fn discards(n: usize) -> HostScript {
+    HostScript::new(vec![HostStep::Word(None); n])
 }
 
 fn one_block(insts: Vec<MicroInst>) -> CellCode {
@@ -178,7 +183,7 @@ fn output_count_mismatch_detected() {
     let code = one_block(vec![MicroInst::default()]);
     let iu = no_iu();
     let hp = warp_host::HostProgram {
-        outputs: [(Chan::X, vec![None])].into_iter().collect(),
+        outputs: [(Chan::X, discards(1))].into_iter().collect(),
         ..warp_host::HostProgram::default()
     };
     let machine = CellMachine::default();
@@ -216,7 +221,6 @@ mod fault_plan {
         let cell = cell_codegen(&ir, &machine).expect("cell codegen");
         let skew = analyze(
             &cell,
-            &ir.loops,
             &SkewOptions {
                 n_cells,
                 ..SkewOptions::default()
@@ -677,7 +681,7 @@ fn writeback_timing_respects_latency() {
     let code = one_block(insts);
     let iu = no_iu();
     let mut hp = warp_host::HostProgram::default();
-    hp.outputs.insert(Chan::X, vec![None, None]);
+    hp.outputs.insert(Chan::X, discards(2));
     let machine = CellMachine::default();
     // Collect via trace.
     let mut events = Vec::new();

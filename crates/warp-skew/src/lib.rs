@@ -19,11 +19,7 @@
 //! ```
 //! use warp_skew::{analyze, paper, SkewOptions};
 //!
-//! let report = analyze(
-//!     &paper::fig_6_2_code(),
-//!     &paper::paper_loops(),
-//!     &SkewOptions::default(),
-//! )?;
+//! let report = analyze(&paper::fig_6_2_code(), &SkewOptions::default())?;
 //! assert_eq!(report.min_skew, 3); // Table 6-1 of the paper
 //! # Ok::<(), warp_skew::SkewError>(())
 //! ```
@@ -34,7 +30,7 @@ pub mod timeline;
 pub mod vectors;
 
 pub use skew::{analyze, ModelComparison, SkewError, SkewMethod, SkewOptions, SkewReport};
-pub use timeline::{try_visit_events, visit_events, EnumStop, HostBinding, TimedIo, Timeline};
+pub use timeline::{try_visit_events, EnumStop, TimedIo, Timeline};
 pub use vectors::{
     bound_pair, extract, min_skew_bound, occupancy_bound, IoStatement, Level, TimingFunction,
     TimingOverflow,

@@ -4,11 +4,8 @@
 //! regenerates Tables 6-1 through 6-4 and Figure 6-3.
 
 use w2_lang::ast::{Chan, Dir};
-use w2_lang::hir::VarId;
 use warp_cell::{BlockCode, CellCode, CodeRegion, IoEvent, MicroInst};
-use warp_common::IdVec;
 use warp_ir::affine::LoopId;
-use warp_ir::region::LoopMeta;
 
 /// Builds a straight-line code block of `len` cycles with the given
 /// `(cycle, dir, chan, is_recv)` I/O events.
@@ -102,28 +99,6 @@ pub fn fig_6_4_code() -> CellCode {
         regs_used: 0,
         scratch_words: 0,
     }
-}
-
-/// Loop metadata matching [`fig_6_4_code`] (all loops start at 0; counts
-/// live in the code regions).
-pub fn paper_loops() -> IdVec<LoopId, LoopMeta> {
-    let mut v = IdVec::new();
-    v.push(LoopMeta {
-        var: VarId(0),
-        lo: 0,
-        count: 5,
-    });
-    v.push(LoopMeta {
-        var: VarId(0),
-        lo: 0,
-        count: 2,
-    });
-    v.push(LoopMeta {
-        var: VarId(0),
-        lo: 0,
-        count: 2,
-    });
-    v
 }
 
 /// The abstract stage program of Figure 3-1: a stage of `steps` cycles

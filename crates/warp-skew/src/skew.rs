@@ -14,9 +14,7 @@ use crate::vectors::{extract, min_skew_bound, occupancy_bound, TimingOverflow};
 use std::collections::BTreeMap;
 use w2_lang::ast::{Chan, Dir};
 use warp_cell::CellCode;
-use warp_common::{CancelToken, Diagnostic, DiagnosticBag, IdVec};
-use warp_ir::affine::LoopId;
-use warp_ir::region::LoopMeta;
+use warp_common::{CancelToken, Diagnostic, DiagnosticBag};
 
 /// Why [`analyze`] could not produce a report.
 ///
@@ -196,11 +194,7 @@ impl warp_common::Artifact for SkewReport {
 /// "detected and reported"), or when [`SkewOptions::cancel`] trips
 /// mid-analysis. Returns [`SkewError::Overflow`] when the exact
 /// rational timing arithmetic leaves `i128` range.
-pub fn analyze(
-    code: &CellCode,
-    loops: &IdVec<LoopId, LoopMeta>,
-    opts: &SkewOptions,
-) -> Result<SkewReport, SkewError> {
+pub fn analyze(code: &CellCode, opts: &SkewOptions) -> Result<SkewReport, SkewError> {
     let mut diags = DiagnosticBag::new();
     let stmts = extract(code);
 
@@ -277,7 +271,7 @@ pub fn analyze(
     // the Analytic skew method needs the timeline for the exact
     // occupancy figures, so degradation applies to both methods.
     let (min_skew, queue_occupancy, degraded) =
-        match Timeline::build_budgeted(code, loops, &opts.cancel, opts.max_events) {
+        match Timeline::build_budgeted(code, &opts.cancel, opts.max_events) {
             Ok(tl) => {
                 let min_skew = match opts.method {
                     SkewMethod::Exact => tl.min_skew(flow),
@@ -337,8 +331,8 @@ pub struct ModelComparison {
 
 impl ModelComparison {
     /// Computes the comparison for a single-stage program.
-    pub fn of(code: &CellCode, loops: &IdVec<LoopId, LoopMeta>, flow: Dir) -> ModelComparison {
-        let tl = Timeline::build(code, loops);
+    pub fn of(code: &CellCode, flow: Dir) -> ModelComparison {
+        let tl = Timeline::build(code);
         ModelComparison {
             skewed_latency: tl.min_skew(flow),
             simd_latency: tl.span,
@@ -373,12 +367,12 @@ warp_common::wire_struct!(SkewReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper::{block, fig_3_1_stage, fig_6_2_code, fig_6_4_code, paper_loops};
+    use crate::paper::{block, fig_3_1_stage, fig_6_2_code, fig_6_4_code};
     use warp_cell::CodeRegion;
 
     #[test]
     fn analyze_figure_6_2() {
-        let r = analyze(&fig_6_2_code(), &paper_loops(), &SkewOptions::default()).unwrap();
+        let r = analyze(&fig_6_2_code(), &SkewOptions::default()).unwrap();
         assert_eq!(r.flow, Dir::Right);
         assert_eq!(r.min_skew, 3);
         assert_eq!(r.span, 6);
@@ -389,11 +383,10 @@ mod tests {
 
     #[test]
     fn analyze_figure_6_4_exact_vs_analytic() {
-        let exact = analyze(&fig_6_4_code(), &paper_loops(), &SkewOptions::default()).unwrap();
+        let exact = analyze(&fig_6_4_code(), &SkewOptions::default()).unwrap();
         assert_eq!(exact.min_skew, 18);
         let analytic = analyze(
             &fig_6_4_code(),
-            &paper_loops(),
             &SkewOptions {
                 method: SkewMethod::Analytic,
                 ..SkewOptions::default()
@@ -420,7 +413,7 @@ mod tests {
             regs_used: 0,
             scratch_words: 0,
         };
-        let err = analyze(&code, &paper_loops(), &SkewOptions::default()).unwrap_err();
+        let err = analyze(&code, &SkewOptions::default()).unwrap_err();
         assert!(err.to_string().contains("counts must match"), "{err}");
     }
 
@@ -439,7 +432,7 @@ mod tests {
             regs_used: 0,
             scratch_words: 0,
         };
-        let err = analyze(&code, &paper_loops(), &SkewOptions::default()).unwrap_err();
+        let err = analyze(&code, &SkewOptions::default()).unwrap_err();
         assert!(err.to_string().contains("bidirectional"), "{err}");
     }
 
@@ -458,7 +451,7 @@ mod tests {
             regs_used: 0,
             scratch_words: 0,
         };
-        let r = analyze(&code, &paper_loops(), &SkewOptions::default()).unwrap();
+        let r = analyze(&code, &SkewOptions::default()).unwrap();
         assert_eq!(r.flow, Dir::Left);
         assert_eq!(r.min_skew, 0); // send@0 before recv@2: no delay needed
     }
@@ -489,7 +482,6 @@ mod tests {
         };
         let err = analyze(
             &code,
-            &paper_loops(),
             &SkewOptions {
                 queue_capacity: 4,
                 ..SkewOptions::default()
@@ -498,16 +490,15 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("queue overflow"), "{err}");
         // With the real 128-word queue the program is fine.
-        analyze(&code, &paper_loops(), &SkewOptions::default()).unwrap();
+        analyze(&code, &SkewOptions::default()).unwrap();
     }
 
     #[test]
     fn budget_exhaustion_degrades_to_sound_bounds() {
-        let exact = analyze(&fig_6_4_code(), &paper_loops(), &SkewOptions::default()).unwrap();
+        let exact = analyze(&fig_6_4_code(), &SkewOptions::default()).unwrap();
         assert!(!exact.degraded);
         let degraded = analyze(
             &fig_6_4_code(),
-            &paper_loops(),
             &SkewOptions {
                 max_events: 3, // far below the 20 dynamic I/O events
                 ..SkewOptions::default()
@@ -545,7 +536,6 @@ mod tests {
         // cancellation contract is "observed within one poll interval".
         let r = analyze(
             &fig_6_2_code(),
-            &paper_loops(),
             &SkewOptions {
                 cancel: token,
                 ..SkewOptions::default()
@@ -561,12 +551,12 @@ mod tests {
         // operand at step 3 as well. Skewed latency: 1 cycle... the
         // paper's picture: skew 0 would need recv@3 after send@3 of the
         // neighbour, giving skew 0; the paper counts 1 step of latency.
-        let cmp = ModelComparison::of(&fig_3_1_stage(4, 3, 3), &paper_loops(), Dir::Right);
+        let cmp = ModelComparison::of(&fig_3_1_stage(4, 3, 3), Dir::Right);
         assert_eq!(cmp.simd_latency, 4);
         assert_eq!(cmp.skewed_latency, 0);
         // A stage that produces its result one step after consuming the
         // input (recv@2, send@3 of the *previous* iteration shape):
-        let cmp2 = ModelComparison::of(&fig_3_1_stage(4, 2, 3), &paper_loops(), Dir::Right);
+        let cmp2 = ModelComparison::of(&fig_3_1_stage(4, 2, 3), Dir::Right);
         assert_eq!(cmp2.skewed_latency, 1);
         assert_eq!(cmp2.simd_array_latency(3), 12);
         assert_eq!(cmp2.skewed_array_latency(3), 3);

@@ -9,12 +9,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use w2_lang::ast::{Chan, Dir};
-use w2_lang::hir::VarId;
 use warp_cell::{CellCode, CodeRegion};
-use warp_common::{CancelReason, CancelToken, IdVec};
-use warp_ir::affine::LoopId;
-use warp_ir::region::LoopMeta;
-use warp_ir::HostSlot;
+use warp_common::{CancelReason, CancelToken};
 
 /// One dynamic I/O operation with its absolute cycle.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,32 +23,6 @@ pub struct TimedIo {
     pub chan: Chan,
     /// `true` for a receive.
     pub is_recv: bool,
-    /// Host binding, with the affine index evaluated: `(var, index)` for
-    /// host memory, or a literal value.
-    pub host: Option<HostBinding>,
-}
-
-/// A fully evaluated host binding.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum HostBinding {
-    /// The host supplies/stores a literal value.
-    Lit(f32),
-    /// A concrete word of a host variable.
-    Elem(VarId, i64),
-}
-
-/// Streams every dynamic I/O operation of `code` in execution order.
-///
-/// Loop bodies are visited once per iteration with the loop variable's
-/// value bound, so host bindings come out fully indexed. The callback
-/// runs once per dynamic operation — for large programs this is the
-/// memory-friendly interface.
-pub fn visit_events(code: &CellCode, loops: &IdVec<LoopId, LoopMeta>, mut f: impl FnMut(&TimedIo)) {
-    let infallible = try_visit_events(code, loops, |e| {
-        f(e);
-        Ok::<(), EnumStop>(())
-    });
-    debug_assert!(infallible.is_ok());
 }
 
 /// Why a budgeted enumeration stopped before completing.
@@ -74,8 +44,9 @@ impl fmt::Display for EnumStop {
     }
 }
 
-/// Like [`visit_events`], but the callback can stop the enumeration
-/// early by returning `Err` — the engine behind budgeted and
+/// Streams every dynamic I/O operation of `code` in execution order.
+/// Loop bodies are visited once per iteration. The callback can stop the
+/// enumeration early by returning `Err` — the engine behind budgeted and
 /// cancellable analyses.
 ///
 /// # Errors
@@ -83,54 +54,38 @@ impl fmt::Display for EnumStop {
 /// Propagates the first `Err` the callback returns.
 pub fn try_visit_events<E>(
     code: &CellCode,
-    loops: &IdVec<LoopId, LoopMeta>,
     mut f: impl FnMut(&TimedIo) -> Result<(), E>,
 ) -> Result<(), E> {
-    let mut env: BTreeMap<LoopId, i64> = BTreeMap::new();
     let mut t = 0u64;
     for region in &code.regions {
-        try_visit_region(region, loops, &mut env, &mut t, &mut f)?;
+        try_visit_region(region, &mut t, &mut f)?;
     }
     Ok(())
 }
 
 fn try_visit_region<E>(
     region: &CodeRegion,
-    loops: &IdVec<LoopId, LoopMeta>,
-    env: &mut BTreeMap<LoopId, i64>,
     t: &mut u64,
     f: &mut impl FnMut(&TimedIo) -> Result<(), E>,
 ) -> Result<(), E> {
     match region {
         CodeRegion::Block(b) => {
             for e in &b.io_events {
-                let host = e.ext.as_ref().map(|slot| match slot {
-                    HostSlot::Lit(v) => HostBinding::Lit(*v),
-                    HostSlot::Elem { var, index } => HostBinding::Elem(*var, index.eval(env)),
-                });
                 f(&TimedIo {
                     time: *t + u64::from(e.cycle),
                     dir: e.dir,
                     chan: e.chan,
                     is_recv: e.is_recv,
-                    host,
                 })?;
             }
             *t += u64::from(b.len());
         }
-        CodeRegion::Loop { id, count, body } => {
-            let lo = loops[*id].lo;
-            for iter in 0..*count {
-                env.insert(*id, lo + iter as i64);
+        CodeRegion::Loop { count, body, .. } => {
+            for _ in 0..*count {
                 for r in body {
-                    let res = try_visit_region(r, loops, env, t, f);
-                    if res.is_err() {
-                        env.remove(id);
-                        return res;
-                    }
+                    try_visit_region(r, t, f)?;
                 }
             }
-            env.remove(id);
         }
     }
     Ok(())
@@ -149,8 +104,8 @@ pub struct Timeline {
 
 impl Timeline {
     /// Builds the timeline of `code` by full enumeration.
-    pub fn build(code: &CellCode, loops: &IdVec<LoopId, LoopMeta>) -> Timeline {
-        Timeline::build_budgeted(code, loops, &CancelToken::none(), 0)
+    pub fn build(code: &CellCode) -> Timeline {
+        Timeline::build_budgeted(code, &CancelToken::none(), 0)
             .expect("unbudgeted enumeration cannot stop early")
     }
 
@@ -164,7 +119,6 @@ impl Timeline {
     /// [`EnumStop`] describing which limit stopped the enumeration.
     pub fn build_budgeted(
         code: &CellCode,
-        loops: &IdVec<LoopId, LoopMeta>,
         cancel: &CancelToken,
         max_events: u64,
     ) -> Result<Timeline, EnumStop> {
@@ -174,7 +128,7 @@ impl Timeline {
             ..Timeline::default()
         };
         let mut seen = 0u64;
-        try_visit_events(code, loops, |e| {
+        try_visit_events(code, |e| {
             seen += 1;
             if max_events != 0 && seen > max_events {
                 return Err(EnumStop::Budget);
@@ -280,13 +234,13 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper::{fig_6_2_code, fig_6_4_code, paper_loops};
-    use warp_ir::HostSlot;
+    use crate::paper::{fig_6_2_code, fig_6_4_code};
+    use warp_ir::affine::LoopId;
 
     #[test]
     fn figure_6_2_table_6_1() {
         // Table 6-1: τ_O = (0, 5), τ_I = (1, 2), min skew = 3.
-        let tl = Timeline::build(&fig_6_2_code(), &paper_loops());
+        let tl = Timeline::build(&fig_6_2_code());
         assert_eq!(tl.sends[&(Dir::Right, Chan::X)], vec![0, 5]);
         assert_eq!(tl.recvs[&(Dir::Left, Chan::X)], vec![1, 2]);
         assert_eq!(tl.min_skew(Dir::Right), 3);
@@ -297,7 +251,7 @@ mod tests {
     fn figure_6_4_table_6_2() {
         // Table 6-2: inputs at 1,2,4,5,7,8,10,11,13,14; outputs at
         // 18,19,20,21,24,25,26,29,30,31; max difference (min skew) 18.
-        let tl = Timeline::build(&fig_6_4_code(), &paper_loops());
+        let tl = Timeline::build(&fig_6_4_code());
         assert_eq!(
             tl.recvs[&(Dir::Left, Chan::X)],
             vec![1, 2, 4, 5, 7, 8, 10, 11, 13, 14]
@@ -323,7 +277,7 @@ mod tests {
 
     #[test]
     fn occupancy_of_figure_6_4_at_min_skew() {
-        let tl = Timeline::build(&fig_6_4_code(), &paper_loops());
+        let tl = Timeline::build(&fig_6_4_code());
         let occ = tl.max_queue_occupancy(Dir::Right, 18);
         // At minimum skew the receiver's input loop interleaves with the
         // sender's output loops: at most two words are in flight.
@@ -337,7 +291,7 @@ mod tests {
     fn send_and_recv_may_share_a_cycle() {
         // Figure 6-3: with skew 3, output_1@5 on cell 1 and input_1@5 on
         // cell 2 share cycle 5 legally.
-        let tl = Timeline::build(&fig_6_2_code(), &paper_loops());
+        let tl = Timeline::build(&fig_6_2_code());
         let outs = &tl.sends[&(Dir::Right, Chan::X)];
         let ins = &tl.recvs[&(Dir::Left, Chan::X)];
         let skew = Timeline::channel_skew(outs, ins).unwrap();
@@ -345,14 +299,8 @@ mod tests {
     }
 
     /// A synthetic single-block loop producing `count` dynamic sends.
-    fn big_loop(count: u64) -> (CellCode, IdVec<LoopId, LoopMeta>) {
+    fn big_loop(count: u64) -> CellCode {
         use warp_cell::{BlockCode, IoEvent, MicroInst};
-        let mut loops = IdVec::new();
-        let lid = loops.push(LoopMeta {
-            var: VarId(0),
-            lo: 0,
-            count,
-        });
         let body = BlockCode {
             insts: vec![MicroInst::default()],
             io_events: vec![IoEvent {
@@ -365,28 +313,27 @@ mod tests {
             adr_deadlines: vec![],
             source: None,
         };
-        let code = CellCode {
+        CellCode {
             name: "big".into(),
             pipelined: vec![],
             regions: vec![CodeRegion::Loop {
-                id: lid,
+                id: LoopId(0),
                 count,
                 body: vec![CodeRegion::Block(body)],
             }],
             regs_used: 0,
             scratch_words: 0,
-        };
-        (code, loops)
+        }
     }
 
     #[test]
     fn budgeted_build_stops_on_event_budget() {
-        let (code, loops) = big_loop(10_000);
-        let err = Timeline::build_budgeted(&code, &loops, &warp_common::CancelToken::none(), 100)
-            .unwrap_err();
+        let code = big_loop(10_000);
+        let err =
+            Timeline::build_budgeted(&code, &warp_common::CancelToken::none(), 100).unwrap_err();
         assert_eq!(err, EnumStop::Budget);
         // Unlimited budget completes.
-        let tl = Timeline::build_budgeted(&code, &loops, &warp_common::CancelToken::none(), 0)
+        let tl = Timeline::build_budgeted(&code, &warp_common::CancelToken::none(), 0)
             .expect("unlimited");
         assert_eq!(tl.sends[&(Dir::Right, Chan::X)].len(), 10_000);
     }
@@ -397,57 +344,9 @@ mod tests {
         use warp_common::{CancelReason, CancelToken, ManualClock};
         let token = CancelToken::new(Arc::new(ManualClock::new(0)));
         token.cancel();
-        let (code, loops) = big_loop(10_000);
-        let err = Timeline::build_budgeted(&code, &loops, &token, 0).unwrap_err();
+        let code = big_loop(10_000);
+        let err = Timeline::build_budgeted(&code, &token, 0).unwrap_err();
         assert_eq!(err, EnumStop::Cancelled(CancelReason::Cancelled));
         assert!(!err.to_string().is_empty());
-    }
-
-    #[test]
-    fn host_bindings_evaluated_per_iteration() {
-        use warp_cell::{BlockCode, CodeRegion, IoEvent, MicroInst};
-        use warp_ir::Affine;
-        let mut loops = IdVec::new();
-        let lid = loops.push(LoopMeta {
-            var: VarId(0),
-            lo: 2,
-            count: 3,
-        });
-        let body = BlockCode {
-            insts: vec![MicroInst::default(); 2],
-            io_events: vec![IoEvent {
-                cycle: 0,
-                dir: Dir::Left,
-                chan: Chan::X,
-                is_recv: true,
-                ext: Some(HostSlot::Elem {
-                    var: VarId(7),
-                    index: Affine::term(lid, 2),
-                }),
-            }],
-            adr_deadlines: vec![],
-            source: None,
-        };
-        let code = CellCode {
-            name: "t".into(),
-            pipelined: vec![],
-            regions: vec![CodeRegion::Loop {
-                id: lid,
-                count: 3,
-                body: vec![CodeRegion::Block(body)],
-            }],
-            regs_used: 0,
-            scratch_words: 0,
-        };
-        let mut seen = Vec::new();
-        visit_events(&code, &loops, |e| seen.push((e.time, e.host)));
-        assert_eq!(
-            seen,
-            vec![
-                (0, Some(HostBinding::Elem(VarId(7), 4))),
-                (2, Some(HostBinding::Elem(VarId(7), 6))),
-                (4, Some(HostBinding::Elem(VarId(7), 8))),
-            ]
-        );
     }
 }

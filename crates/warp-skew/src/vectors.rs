@@ -545,7 +545,7 @@ pub fn min_skew_bound(stmts: &[IoStatement], flow: Dir) -> Result<i64, TimingOve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper::{fig_6_2_code, fig_6_4_code, paper_loops};
+    use crate::paper::{fig_6_2_code, fig_6_4_code};
     use crate::timeline::Timeline;
 
     fn fig_6_4_stmts() -> Vec<IoStatement> {
@@ -616,7 +616,7 @@ mod tests {
         // τ per statement must agree with the exact timeline.
         let code = fig_6_4_code();
         let stmts = extract(&code);
-        let tl = Timeline::build(&code, &paper_loops());
+        let tl = Timeline::build(&code);
         let inputs = &tl.recvs[&(Dir::Left, Chan::X)];
         for (n, &t) in inputs.iter().enumerate() {
             let computed: Vec<i64> = stmts
@@ -700,7 +700,7 @@ mod tests {
         let code = fig_6_4_code();
         let stmts = extract(&code);
         let analytic = min_skew_bound(&stmts, Dir::Right).unwrap();
-        let exact = Timeline::build(&code, &paper_loops()).min_skew(Dir::Right);
+        let exact = Timeline::build(&code).min_skew(Dir::Right);
         assert!(analytic >= exact, "analytic {analytic} >= exact {exact}");
         assert_eq!(exact, 18);
         assert!(analytic <= 19, "bound should be tight here, got {analytic}");
@@ -728,7 +728,7 @@ mod tests {
         // any skew at or above the minimum, on both paper figures.
         for (code, min_skew) in [(fig_6_2_code(), 3i64), (fig_6_4_code(), 18i64)] {
             let stmts = extract(&code);
-            let tl = Timeline::build(&code, &paper_loops());
+            let tl = Timeline::build(&code);
             for skew in [min_skew, min_skew + 7] {
                 let exact = tl.max_queue_occupancy(Dir::Right, skew);
                 let bound = occupancy_bound(&stmts, Dir::Right, skew).unwrap();

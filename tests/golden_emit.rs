@@ -1,7 +1,8 @@
 //! Golden snapshot tests for `w2c --emit` output.
 //!
 //! The full `--emit cell --emit iu` listing for `corpus/binop.w2` and
-//! `corpus/conv1d.w2` is compared line-for-line against checked-in
+//! `corpus/conv1d.w2`, and the `--emit host` transfer descriptor of
+//! `corpus/binop.w2`, are compared line-for-line against checked-in
 //! snapshots under `tests/golden/`. Any change to instruction
 //! selection, scheduling, skew, or the listing format shows up as a
 //! readable diff here instead of only as a perf or correctness shift
@@ -39,14 +40,19 @@ fn w2c() -> Command {
     Command::new(path)
 }
 
+/// The cell and IU microcode listings.
+const CELL_IU: [&str; 4] = ["--emit", "cell", "--emit", "iu"];
+
 /// Emits the listing for one corpus file with the nondeterministic
-/// `compile time` line removed. `extra` is appended to the argument
-/// list (e.g. `--no-pipeline` for the list-scheduled baseline).
-fn emit(corpus_file: &str, extra: &[&str]) -> String {
-    let src = format!("{}/corpus/{corpus_file}", env!("CARGO_MANIFEST_DIR"));
+/// `compile time` line removed. `args` follow the file name (e.g.
+/// [`CELL_IU`] plus `--no-pipeline` for the list-scheduled baseline).
+fn emit(corpus_file: &str, args: &[&str]) -> String {
+    // A path relative to the checkout keeps the snapshots independent
+    // of where the repository lives.
     let out = w2c()
-        .args([src.as_str(), "--emit", "cell", "--emit", "iu"])
-        .args(extra)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .arg(format!("corpus/{corpus_file}"))
+        .args(args)
         .output()
         .expect("w2c runs");
     assert!(
@@ -68,11 +74,11 @@ fn emit(corpus_file: &str, extra: &[&str]) -> String {
 }
 
 fn check_golden(corpus_file: &str, snapshot: &str) {
-    check_golden_with(corpus_file, snapshot, &[]);
+    check_golden_with(corpus_file, snapshot, &CELL_IU);
 }
 
-fn check_golden_with(corpus_file: &str, snapshot: &str, extra: &[&str]) {
-    let got = emit(corpus_file, extra);
+fn check_golden_with(corpus_file: &str, snapshot: &str, args: &[&str]) {
+    let got = emit(corpus_file, args);
     let path = format!("{}/tests/golden/{snapshot}", env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(&path, &got).unwrap_or_else(|e| panic!("write {path}: {e}"));
@@ -117,6 +123,13 @@ fn conv1d_no_pipeline_emit_matches_golden() {
     check_golden_with(
         "conv1d.w2",
         "conv1d_no_pipeline_emit.txt",
-        &["--no-pipeline"],
+        &[&CELL_IU[..], &["--no-pipeline"]].concat(),
     );
+}
+
+#[test]
+fn binop_host_matches_golden() {
+    // The host transfer descriptor: a nested loop listing whose length
+    // follows the program, not the 512×512 image.
+    check_golden_with("binop.w2", "binop_host.txt", &["--emit", "host"]);
 }

@@ -21,7 +21,7 @@ fn fig3_1_simd_vs_skewed_latency() {
     // producer in the paper's picture, i.e. the dependency allows a skew
     // of one step: recv at step 2 (index 2), send at step 3 (index 3).
     let stage = paper::fig_3_1_stage(4, 2, 3);
-    let cmp = ModelComparison::of(&stage, &paper::paper_loops(), w2_lang::ast::Dir::Right);
+    let cmp = ModelComparison::of(&stage, w2_lang::ast::Dir::Right);
     assert_eq!(cmp.simd_latency, 4, "SIMD latency = whole stage");
     assert_eq!(cmp.skewed_latency, 1, "skewed latency = minimum skew");
     // Through a 3-cell array (the figure's width):
@@ -35,7 +35,7 @@ fn fig3_1_simd_vs_skewed_latency() {
 fn fig3_1_gap_grows_with_stage_length() {
     for steps in [4u32, 8, 16, 32] {
         let stage = paper::fig_3_1_stage(steps as usize, steps - 2, steps - 1);
-        let cmp = ModelComparison::of(&stage, &paper::paper_loops(), w2_lang::ast::Dir::Right);
+        let cmp = ModelComparison::of(&stage, w2_lang::ast::Dir::Right);
         assert_eq!(cmp.simd_latency, u64::from(steps));
         assert_eq!(cmp.skewed_latency, 1);
     }
@@ -56,8 +56,8 @@ fn fig4_2_polynomial_channel_accounting() {
     assert_eq!(m.skew.words_per_channel[&w2_lang::ast::Chan::Y], 100);
     // The host supplies exactly the sequence of Figure 4-2: 10
     // coefficients then 100 data points on X, 100 zero seeds on Y.
-    assert_eq!(m.host.inputs[&w2_lang::ast::Chan::X].len(), 110);
-    assert_eq!(m.host.inputs[&w2_lang::ast::Chan::Y].len(), 100);
+    assert_eq!(m.host.inputs[&w2_lang::ast::Chan::X].word_count(), 110);
+    assert_eq!(m.host.inputs[&w2_lang::ast::Chan::Y].word_count(), 100);
 }
 
 /// Figure 5-1: programs with and without communication cycles.
@@ -98,7 +98,7 @@ fn fig5_1_cycle_classification() {
 #[test]
 fn table6_1_straight_line_skew() {
     let code = paper::fig_6_2_code();
-    let tl = Timeline::build(&code, &paper::paper_loops());
+    let tl = Timeline::build(&code);
     use w2_lang::ast::{Chan, Dir};
     // Table 6-1 rows: τ_O = (0, 5), τ_I = (1, 2), diffs (−1, 3).
     assert_eq!(tl.sends[&(Dir::Right, Chan::X)], vec![0, 5]);
@@ -116,7 +116,7 @@ fn table6_1_straight_line_skew() {
 fn fig6_3_two_cells_at_minimum_skew() {
     use w2_lang::ast::{Chan, Dir};
     let code = paper::fig_6_2_code();
-    let tl = Timeline::build(&code, &paper::paper_loops());
+    let tl = Timeline::build(&code);
     let outs = &tl.sends[&(Dir::Right, Chan::X)];
     let ins = &tl.recvs[&(Dir::Left, Chan::X)];
     let skew = 3i64;
@@ -141,7 +141,7 @@ fn tables_6_2_to_6_4_loop_program() {
     let code = paper::fig_6_4_code();
 
     // Table 6-2: the exact timing of all ten inputs and outputs.
-    let tl = Timeline::build(&code, &paper::paper_loops());
+    let tl = Timeline::build(&code);
     let tau_i = &tl.recvs[&(Dir::Left, Chan::X)];
     let tau_o = &tl.sends[&(Dir::Right, Chan::X)];
     assert_eq!(tau_i, &vec![1, 2, 4, 5, 7, 8, 10, 11, 13, 14]);
@@ -184,10 +184,9 @@ fn tables_6_2_to_6_4_loop_program() {
     assert!(b <= Rat::new(53, 3));
 
     // End to end, both skew methods safely cover the exact minimum.
-    let exact = analyze(&code, &paper::paper_loops(), &SkewOptions::default()).unwrap();
+    let exact = analyze(&code, &SkewOptions::default()).unwrap();
     let analytic = analyze(
         &code,
-        &paper::paper_loops(),
         &SkewOptions {
             method: SkewMethod::Analytic,
             ..SkewOptions::default()
@@ -217,7 +216,7 @@ fn table6_5_iu_operand_allocation() {
 #[test]
 fn skew_above_minimum_is_always_safe() {
     use w2_lang::ast::{Chan, Dir};
-    let tl = Timeline::build(&paper::fig_6_4_code(), &paper::paper_loops());
+    let tl = Timeline::build(&paper::fig_6_4_code());
     let outs = &tl.sends[&(Dir::Right, Chan::X)];
     let ins = &tl.recvs[&(Dir::Left, Chan::X)];
     for extra in [0i64, 1, 5, 100] {
