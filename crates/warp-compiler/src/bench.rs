@@ -159,7 +159,8 @@ impl BenchReport {
     }
 }
 
-fn json_str(s: &str) -> String {
+/// Quotes and escapes `s` as a JSON string literal.
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

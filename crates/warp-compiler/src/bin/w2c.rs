@@ -53,10 +53,10 @@ use std::process::ExitCode;
 use warp_common::{observe, CollectDumps};
 use warp_compiler::{
     audit, corpus, differential, fuzz, passes, service, CompileOptions, CompiledModule,
-    ExecBackend, ServiceConfig, Session, SessionCtrl,
+    ExecBackend, Session, SessionCtrl,
 };
 use warp_ir::LowerOptions;
-use warp_service::{ExecutorConfig, JobOutcome};
+use warp_service::JobOutcome;
 use warp_sim::{FaultPlan, SimOptions};
 
 /// `--emit` kinds: the Table 7-1 metrics and listings, plus one kind
@@ -361,24 +361,14 @@ fn corpus_all(args: &Args) -> ExitCode {
     if args.audit {
         return corpus_audit(args);
     }
-    // Batch-compile through the compile service so the summary carries
+    // Batch-compile through the compile daemon so the summary carries
     // per-job wall times and resilience outcomes (degraded, timed out,
     // quarantined), not just pass/fail.
     let named: Vec<(String, String)> = corpus::TABLE_7_1
         .iter()
         .map(|(name, src)| ((*name).to_owned(), (*src).to_owned()))
         .collect();
-    let batch = service::compile_batch_named(
-        named,
-        &args.opts,
-        &ServiceConfig {
-            exec: ExecutorConfig {
-                queue_capacity: 0,
-                ..ExecutorConfig::default()
-            },
-            ..ServiceConfig::default()
-        },
-    );
+    let batch = service::compile_batch(named, &args.opts);
     println!(
         "{:<12} {:>9} {:>11} {:>9} {:>6} {:>6} {:>13}",
         "name", "W2 lines", "cell ucode", "IU ucode", "skew", "cells", "compile time"
@@ -763,7 +753,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            match warp_compiler::oracle::interpret(&hir, &host) {
+            match warp_oracle::interpret(&hir, &host) {
                 Ok(want) => {
                     let sim = match module.run_with(n_cells, module.skew.min_skew, &inputs) {
                         Ok(r) => r,

@@ -1,12 +1,12 @@
-//! The always-on compile daemon: the concurrent counterpart of
-//! [`CompileService`](crate::service::CompileService).
+//! The compile daemon: compile jobs on the one job engine.
 //!
-//! Where `CompileService` is a *batch* engine — clients submit, then
-//! an explicit `run` drains the queue — a [`CompileDaemon`] keeps a
-//! [`WorkerPool`] hot: `submit` returns a job id immediately, workers
-//! compile as soon as capacity allows, and clients collect their own
-//! results with [`CompileDaemon::wait`]. Every compile goes through
-//! the content-addressed [`CompileCache`], so repeated requests for
+//! A [`CompileDaemon`] keeps a [`WorkerPool`] hot: `submit` returns a
+//! job id immediately, workers compile as soon as capacity allows, and
+//! clients collect their own results with [`CompileDaemon::wait`].
+//! `w2cd` holds one for its lifetime; a batch compile
+//! ([`compile_batch`](crate::service::compile_batch)) builds a
+//! memory-only one, submits, waits and drops it. Every compile goes
+//! through the content-addressed [`CompileCache`], so repeated requests for
 //! one program (the common case for a processor-array compile server)
 //! are served without recompiling, and N concurrent requests for the
 //! same program compile it once (single-flight).
@@ -45,11 +45,11 @@ use crate::{
     SessionCtrl,
 };
 
-/// Configuration of a [`CompileDaemon`]: the batch service's knobs
+/// Configuration of a [`CompileDaemon`]: the job-engine knobs
 /// (executor + pipeline budgets + worker count) plus the cache's.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DaemonConfig {
-    /// Executor, pipeline-budget, and worker-count knobs.
+    /// Job-engine, pipeline-budget, and worker-count knobs.
     pub service: ServiceConfig,
     /// Compile-cache knobs (memory tier).
     pub cache: CacheConfig,
@@ -688,48 +688,13 @@ fn serve_native(
     }
 }
 
-/// Repackages daemon reports as a batch [`BatchReport`] so the daemon
-/// front-ends reuse the existing summary table and health verdict.
-/// Modules are deep-cloned out of their cache `Arc`s — fine for
-/// operator-facing summaries, wrong for a hot serving path.
+/// Wraps daemon reports as a [`BatchReport`] so the daemon front-ends
+/// share the summary table and health verdict of every batch compile.
 pub fn batch_report(reports: Vec<DaemonReport>, quarantined: Vec<String>) -> BatchReport {
-    use warp_service::JobOutcome;
-    let jobs = reports
-        .into_iter()
-        .map(|r| JobReport {
-            id: r.id,
-            name: r.name,
-            outcome: match r.outcome {
-                JobOutcome::Success(s) => JobOutcome::Success(JobSuccess {
-                    value: (*s.value).clone(),
-                    degraded: s.degraded,
-                }),
-                JobOutcome::Failed {
-                    kind,
-                    error,
-                    attempts,
-                } => JobOutcome::Failed {
-                    kind,
-                    error,
-                    attempts,
-                },
-                JobOutcome::TimedOut { reason, attempts } => {
-                    JobOutcome::TimedOut { reason, attempts }
-                }
-                JobOutcome::Panicked { what, attempts } => JobOutcome::Panicked { what, attempts },
-                JobOutcome::Quarantined {
-                    consecutive_failures,
-                } => JobOutcome::Quarantined {
-                    consecutive_failures,
-                },
-                JobOutcome::Wedged { stalled_for_ticks } => {
-                    JobOutcome::Wedged { stalled_for_ticks }
-                }
-            },
-            wall_ticks: r.wall_ticks,
-        })
-        .collect();
-    BatchReport { jobs, quarantined }
+    BatchReport {
+        jobs: reports,
+        quarantined,
+    }
 }
 
 #[cfg(test)]

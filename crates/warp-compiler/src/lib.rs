@@ -15,8 +15,8 @@
 //! artifact to an attached [`warp_common::PassObserver`] — that is
 //! what `w2c --time-passes` and `w2c --dump-after <pass>` are built
 //! on. [`compile`] is the plain entry point; [`compile_many`]
-//! batch-compiles independent modules on scoped threads with
-//! deterministic output ordering.
+//! batch-compiles independent modules on the compile daemon's worker
+//! pool with deterministic output ordering.
 //!
 //! The result is a [`CompiledModule`] that can be executed on the
 //! cycle-level simulator with [`CompiledModule::run`].
@@ -53,7 +53,6 @@ pub mod differential;
 pub mod fuzz;
 pub mod health;
 pub mod isolate;
-pub mod oracle;
 pub mod passes;
 pub mod protocol;
 pub mod reference;
@@ -63,7 +62,7 @@ pub mod soak;
 pub mod store;
 pub mod supervise;
 
-pub use service::{BatchReport, CompileService, ServiceConfig};
+pub use service::{BatchReport, ServiceConfig};
 pub use session::{compile_many, Session};
 
 use std::time::Duration;

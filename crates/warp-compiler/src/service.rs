@@ -1,12 +1,17 @@
 //! The compile service: Warp compilations as resilient jobs.
 //!
-//! This module binds the generic executor of [`warp_service`] to the
-//! [`Session`] pipeline (DESIGN.md §10). Each submitted source becomes
-//! a named job whose [`SessionCtrl`] carries the executor's
-//! cancellation token and budget knobs, so a deadline or cancellation
-//! reaches every cooperative poll point in the pipeline — pass
-//! boundaries, the skew enumeration, the simulator cycle loop — and
-//! comes back as a structured [`CompileFailure`] instead of a hang.
+//! This module holds the compiler-side vocabulary of the job engine
+//! (DESIGN.md §10): the [`ServiceConfig`] knobs, the failure
+//! classification, and the [`BatchReport`] summary. The engine itself
+//! is the [`WorkerPool`](warp_service::WorkerPool) inside
+//! [`CompileDaemon`], which threads each job's cancellation token and
+//! budget knobs into [`SessionCtrl`](crate::SessionCtrl), so a deadline
+//! or cancellation reaches every cooperative poll point in the
+//! pipeline — pass boundaries, the skew enumeration, the simulator
+//! cycle loop — and comes back as a structured [`CompileFailure`]
+//! instead of a hang. A batch compile ([`compile_batch`], and through
+//! it [`crate::compile_many`] and `w2c --corpus all`) is a short-lived
+//! daemon client.
 //!
 //! Failure classification:
 //!
@@ -21,13 +26,12 @@
 //! [`FailureKind::Transient`] path exists for service embeddings whose
 //! job closures do I/O around the compile.
 
-use crate::{CompileFailure, CompileOptions, CompiledModule, Session, SessionCtrl};
+use crate::daemon::{CompileDaemon, DaemonConfig, DaemonReport};
+use crate::{CompileFailure, CompileOptions, CompiledModule};
 use std::fmt::Write as _;
 use std::sync::Arc;
-use warp_common::{Clock, Diagnostic, DiagnosticBag, SystemClock};
-use warp_service::{
-    Admission, Executor, ExecutorConfig, FailureKind, JobFailure, JobOutcome, JobReport, JobSuccess,
-};
+use warp_common::{Diagnostic, DiagnosticBag};
+use warp_service::{effective_workers, ExecutorConfig, FailureKind, JobOutcome, ShutdownMode};
 
 /// How the retry/breaker machinery should treat a [`CompileFailure`]:
 /// budget interruptions are timeouts, everything else is permanent.
@@ -40,183 +44,46 @@ pub fn classify_failure(failure: &CompileFailure) -> FailureKind {
     }
 }
 
-/// Configuration of a [`CompileService`]: the generic executor knobs
-/// plus the per-job pipeline budgets threaded into [`SessionCtrl`].
+/// Configuration of a [`CompileDaemon`]'s job engine: the generic
+/// executor knobs plus the per-job pipeline budgets threaded into
+/// [`SessionCtrl`](crate::SessionCtrl).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Queue, deadline, retry, and breaker parameters.
     pub exec: ExecutorConfig,
     /// Event budget for the exact skew enumeration (`0` = unlimited);
-    /// see [`SessionCtrl::skew_max_events`].
+    /// see [`SessionCtrl::skew_max_events`](crate::SessionCtrl::skew_max_events).
     pub skew_max_events: u64,
     /// Cell-program size ceiling in cycles (`0` = unlimited); see
-    /// [`SessionCtrl::max_cell_cycles`].
+    /// [`SessionCtrl::max_cell_cycles`](crate::SessionCtrl::max_cell_cycles).
     pub max_cell_cycles: u64,
     /// Source-size ceiling in bytes (`0` = unlimited); see
-    /// [`SessionCtrl::max_source_bytes`].
+    /// [`SessionCtrl::max_source_bytes`](crate::SessionCtrl::max_source_bytes).
     pub max_source_bytes: u64,
-    /// Worker threads for [`CompileService::run_parallel`]
-    /// (`0` = one per available core).
+    /// Worker threads of the daemon's pool (`0` = one per available
+    /// core).
     pub workers: usize,
     /// Heartbeat staleness (clock ticks) past which the daemon's
     /// supervisor declares a running job wedged and replaces its
-    /// worker (`0` = supervision off). Only the always-on
-    /// [`CompileDaemon`](crate::daemon::CompileDaemon) supervises; the
-    /// batch service ignores this.
+    /// worker (`0` = supervision off, as in [`compile_batch`]).
     pub supervise_grace_ticks: u64,
     /// Real-time milliseconds between background supervisor scans
     /// (`0` = a small default).
     pub supervise_interval_ms: u64,
 }
 
-/// One compile job's report.
-pub type CompileReport = JobReport<CompiledModule, CompileFailure>;
-
-/// A resilient compile service: submit named W2 sources, then drain
-/// them under the executor's admission control, budgets, retry, and
-/// circuit-breaker policies.
-///
-/// # Examples
-///
-/// ```
-/// use warp_compiler::{corpus, service::{CompileService, ServiceConfig}, CompileOptions};
-///
-/// let mut svc = CompileService::with_system_clock(
-///     CompileOptions::default(),
-///     ServiceConfig::default(),
-/// );
-/// assert!(svc.submit("polynomial", corpus::POLYNOMIAL).is_accepted());
-/// let batch = svc.run();
-/// assert_eq!(batch.succeeded(), 1);
-/// assert!(batch.is_healthy());
-/// ```
-pub struct CompileService {
-    opts: CompileOptions,
-    config: ServiceConfig,
-    executor: Executor<CompiledModule, CompileFailure>,
-}
-
-impl CompileService {
-    /// A service over an injectable clock (tests use a
-    /// [`warp_common::ManualClock`] to exercise deadlines and backoff
-    /// without real sleeps).
-    pub fn new(
-        opts: CompileOptions,
-        config: ServiceConfig,
-        clock: Arc<dyn Clock>,
-    ) -> CompileService {
-        let executor = Executor::new(config.exec.clone(), clock);
-        CompileService {
-            opts,
-            config,
-            executor,
-        }
-    }
-
-    /// A service over the real clock (ticks are microseconds).
-    pub fn with_system_clock(opts: CompileOptions, config: ServiceConfig) -> CompileService {
-        CompileService::new(opts, config, Arc::new(SystemClock::new()))
-    }
-
-    /// The service's configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
-    /// Jobs currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.executor.queue_len()
-    }
-
-    /// Admission control: queues a compile job unless the queue is at
-    /// capacity (load shed with a retry hint). The returned token in
-    /// [`Admission::Accepted`] cancels just this job.
-    pub fn submit(&mut self, name: impl Into<String>, source: impl Into<String>) -> Admission {
-        let source = source.into();
-        let opts = self.opts.clone();
-        let skew_max_events = self.config.skew_max_events;
-        let max_cell_cycles = self.config.max_cell_cycles;
-        let max_source_bytes = self.config.max_source_bytes;
-        self.executor.submit(name, move |ctx| {
-            let ctrl = SessionCtrl {
-                cancel: ctx.cancel.clone(),
-                skew_max_events,
-                max_cell_cycles,
-                max_source_bytes,
-                ..SessionCtrl::default()
-            };
-            match Session::new(opts.clone())
-                .with_ctrl(ctrl)
-                .try_compile(&source)
-            {
-                Ok(module) => {
-                    let degraded = module.skew.degraded;
-                    Ok(JobSuccess {
-                        value: module,
-                        degraded,
-                    })
-                }
-                Err(failure) => Err(JobFailure {
-                    kind: classify_failure(&failure),
-                    error: failure,
-                }),
-            }
-        })
-    }
-
-    /// `true` once the circuit breaker has quarantined `name`.
-    pub fn is_quarantined(&self, name: &str) -> bool {
-        self.executor.is_quarantined(name)
-    }
-
-    /// Names currently quarantined by the circuit breaker.
-    pub fn quarantined_names(&self) -> Vec<String> {
-        self.executor.quarantined_names()
-    }
-
-    /// Clears breaker history for `name` (operator override).
-    pub fn reset_breaker(&mut self, name: &str) {
-        self.executor.reset_breaker(name);
-    }
-
-    /// Drains the queue sequentially.
-    pub fn run(&mut self) -> BatchReport {
-        let jobs = self.executor.run_all();
-        BatchReport::new(jobs, self.executor.quarantined_names())
-    }
-
-    /// Drains the queue on a scoped worker pool
-    /// ([`ServiceConfig::workers`] threads, or one per core when 0).
-    /// Reports come back in submission order.
-    pub fn run_parallel(&mut self) -> BatchReport {
-        let workers = if self.config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.config.workers
-        };
-        let jobs = self.executor.run_parallel(workers);
-        BatchReport::new(jobs, self.executor.quarantined_names())
-    }
-}
-
-/// The outcome of draining one batch: per-job reports in submission
-/// order plus the breaker's quarantine list as of the end of the
-/// batch.
+/// The outcome of one batch: the daemon's per-job reports in
+/// submission order plus the breaker's quarantine list as of the end
+/// of the batch. Modules stay in the cache's `Arc`s.
 #[derive(Debug)]
 pub struct BatchReport {
     /// Per-job reports, in submission order.
-    pub jobs: Vec<CompileReport>,
+    pub jobs: Vec<DaemonReport>,
     /// Names quarantined by the circuit breaker after this batch.
     pub quarantined: Vec<String>,
 }
 
 impl BatchReport {
-    fn new(jobs: Vec<CompileReport>, quarantined: Vec<String>) -> BatchReport {
-        BatchReport { jobs, quarantined }
-    }
-
     /// Jobs that produced a module (including degraded ones).
     pub fn succeeded(&self) -> usize {
         self.jobs.iter().filter(|j| j.outcome.is_success()).count()
@@ -265,7 +132,7 @@ impl BatchReport {
     }
 
     /// The job with the largest wall time, if any ran.
-    pub fn slowest(&self) -> Option<&CompileReport> {
+    pub fn slowest(&self) -> Option<&DaemonReport> {
         self.jobs.iter().max_by_key(|j| j.wall_ticks)
     }
 
@@ -331,12 +198,16 @@ impl BatchReport {
     /// Flattens the batch into per-program compile results in
     /// submission order — the [`crate::compile_many`] contract. Budget
     /// stops, panics, and quarantines become diagnostic-bearing
-    /// failures.
+    /// failures. Each module is moved out of its `Arc`, which is free
+    /// once the daemon (and its cache) is gone; only duplicate sources
+    /// that share one `Arc` pay a clone.
     pub fn into_results(self) -> Vec<Result<CompiledModule, DiagnosticBag>> {
         self.jobs
             .into_iter()
             .map(|job| match job.outcome {
-                JobOutcome::Success(s) => Ok(s.value),
+                JobOutcome::Success(s) => {
+                    Ok(Arc::try_unwrap(s.value).unwrap_or_else(|shared| (*shared).clone()))
+                }
                 JobOutcome::Failed { error, .. } => Err(error.into_diagnostics()),
                 JobOutcome::TimedOut { reason, .. } => {
                     let mut diags = DiagnosticBag::new();
@@ -375,64 +246,39 @@ impl BatchReport {
     }
 }
 
-/// Batch-compiles `sources` through an inert service (no deadlines, no
-/// retry, no breaker, unbounded queue) on the system clock — the
-/// engine behind [`crate::compile_many`], also used by `w2c` for its
-/// batch summary.
-pub fn compile_batch<S: AsRef<str>>(sources: &[S], opts: &CompileOptions) -> BatchReport {
-    compile_batch_named(
-        sources
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (format!("input[{i}]"), s.as_ref().to_owned()))
-            .collect(),
-        opts,
-        &ServiceConfig {
-            exec: ExecutorConfig {
-                queue_capacity: 0,
-                ..ExecutorConfig::default()
-            },
-            ..ServiceConfig::default()
-        },
-    )
-}
-
-/// Batch-compiles named sources under an explicit [`ServiceConfig`] on
-/// the system clock.
-pub fn compile_batch_named(
-    named_sources: Vec<(String, String)>,
-    opts: &CompileOptions,
-    config: &ServiceConfig,
-) -> BatchReport {
-    let mut svc = CompileService::with_system_clock(opts.clone(), config.clone());
-    let mut shed: Vec<(usize, String)> = Vec::new();
-    for (i, (name, source)) in named_sources.into_iter().enumerate() {
-        if !svc.submit(name.clone(), source).is_accepted() {
-            shed.push((i, name));
-        }
-    }
-    let mut batch = svc.run_parallel();
-    // Load-shed jobs still occupy their submission slot in the report
-    // (a transient failure with zero attempts), so callers keep
-    // positional alignment with their inputs.
-    for (i, name) in shed {
-        let mut diags = DiagnosticBag::new();
-        diags.push(Diagnostic::error_global(
-            "compile service queue full (load shed); retry later",
-        ));
-        batch.jobs.insert(
-            i,
-            JobReport {
-                id: usize::MAX,
-                name,
-                outcome: JobOutcome::Failed {
-                    kind: FailureKind::Transient,
-                    error: CompileFailure::Diagnostics(diags),
-                    attempts: 0,
+/// Batch-compiles named sources on a short-lived, memory-only
+/// [`CompileDaemon`] over the system clock: unbounded queue, no
+/// deadline, no retry, no breaker, no supervision, one worker per
+/// source up to the available cores. The daemon is shut down and
+/// dropped before this returns, so the report holds the only
+/// references to its modules. The engine behind [`crate::compile_many`]
+/// and `w2c --corpus all`.
+pub fn compile_batch(named_sources: Vec<(String, String)>, opts: &CompileOptions) -> BatchReport {
+    let daemon = CompileDaemon::with_system_clock(
+        opts.clone(),
+        DaemonConfig {
+            service: ServiceConfig {
+                exec: ExecutorConfig {
+                    queue_capacity: 0,
+                    ..ExecutorConfig::default()
                 },
-                wall_ticks: 0,
+                workers: effective_workers(0).min(named_sources.len().max(1)),
+                ..ServiceConfig::default()
             },
-        );
-    }
-    batch
+            ..DaemonConfig::default()
+        },
+    );
+    let ids: Vec<usize> = named_sources
+        .into_iter()
+        .map(|(name, source)| {
+            daemon
+                .submit(name, source)
+                .id()
+                .expect("an unbounded queue never sheds")
+        })
+        .collect();
+    let jobs = daemon.wait(&ids);
+    let quarantined = daemon.quarantined_names();
+    daemon.shutdown(ShutdownMode::Drain);
+    BatchReport { jobs, quarantined }
 }

@@ -7,7 +7,7 @@
 //! [`PassObserver`](warp_common::PassObserver). The plain
 //! [`compile`](crate::compile) function is a thin wrapper over a
 //! session with no observer; [`compile_many`] batch-compiles several
-//! sources on scoped threads.
+//! sources as jobs on a short-lived compile daemon.
 
 use crate::{CompileFailure, CompileOptions, CompiledModule, Metrics, SessionCtrl};
 use std::time::Instant;
@@ -370,13 +370,14 @@ impl<'obs> Session<'obs> {
     }
 }
 
-/// Compiles several W2 modules in parallel on scoped threads.
+/// Compiles several W2 modules in parallel.
 ///
-/// A thin client of the resilient executor (see [`crate::service`]):
-/// each source becomes a job in an inert
-/// [`CompileService`](crate::service::CompileService) — no
-/// deadlines, no retry, no breaker — drained by a scoped worker pool
-/// capped at [`std::thread::available_parallelism`].
+/// A thin client of the compile daemon (see
+/// [`compile_batch`](crate::service::compile_batch)): each source
+/// becomes a job named `input[i]` on a short-lived, memory-only
+/// [`CompileDaemon`](crate::daemon::CompileDaemon) — no deadlines, no
+/// retry, no breaker — whose worker pool is capped at
+/// [`std::thread::available_parallelism`].
 ///
 /// Results are returned in input order regardless of which thread
 /// finished first, and each element equals what a sequential
@@ -403,5 +404,10 @@ pub fn compile_many<S: AsRef<str> + Sync>(
     if sources.is_empty() {
         return Vec::new();
     }
-    crate::service::compile_batch(sources, opts).into_results()
+    let named = sources
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (format!("input[{i}]"), s.as_ref().to_owned()))
+        .collect();
+    crate::service::compile_batch(named, opts).into_results()
 }

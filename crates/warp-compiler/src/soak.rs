@@ -51,6 +51,7 @@ use std::sync::Arc;
 use warp_common::{Clock, SplitMix64};
 use warp_service::{Admission, ExecutorConfig, ShutdownMode};
 
+use crate::bench::json_str;
 use crate::cache::{CacheConfig, CacheStats};
 use crate::corpus;
 use crate::daemon::{CompileDaemon, DaemonConfig};
@@ -256,20 +257,14 @@ impl SoakReport {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// The nearest-rank `p`-quantile of an ascending `sorted` slice (`0`
+/// when empty).
+pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        0
+    } else {
+        sorted[((sorted.len() - 1) as f64 * p).round() as usize]
     }
-    out.push('"');
-    out
 }
 
 /// The Zipfian program universe: corpus staples plus generator
@@ -558,14 +553,6 @@ pub fn run_soak(config: &SoakConfig, clock: Arc<dyn Clock>) -> SoakReport {
     outcomes.sort();
     let mut latencies = driver.latencies;
     latencies.sort_unstable();
-    let percentile = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            0
-        } else {
-            let idx = ((latencies.len() - 1) as f64 * p).round() as usize;
-            latencies[idx]
-        }
-    };
     let elapsed_ticks = clock.now_ticks().saturating_sub(started);
     let completed = latencies.len() as f64;
     let jobs_per_sec = if elapsed_ticks == 0 {
@@ -585,8 +572,8 @@ pub fn run_soak(config: &SoakConfig, clock: Arc<dyn Clock>) -> SoakReport {
         cache: driver.daemon.cache_stats(),
         max_queue_depth: pool.max_queue_depth,
         elapsed_ticks,
-        p50_ticks: percentile(0.50),
-        p99_ticks: percentile(0.99),
+        p50_ticks: percentile(&latencies, 0.50),
+        p99_ticks: percentile(&latencies, 0.99),
         jobs_per_sec,
         violations: driver.violations,
     }

@@ -64,11 +64,12 @@ use std::time::Duration;
 use warp_common::{Clock, SplitMix64};
 use warp_service::{ExecutorConfig, JobOutcome, ShutdownMode, SUPERVISE_MANUAL};
 
+use crate::bench::json_str;
 use crate::cache::CacheConfig;
 use crate::corpus;
 use crate::daemon::{CompileDaemon, DaemonConfig};
 use crate::service::ServiceConfig;
-use crate::soak::{program_universe, zipf};
+use crate::soak::{percentile, program_universe, zipf};
 use crate::{CompileOptions, ExecBackend};
 
 /// Marker for the first-run-only spin (environmental wedge).
@@ -283,22 +284,6 @@ impl WedgeSoakReport {
         out.push_str("]\n}\n");
         out
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// What one submitted job is expected to do.
@@ -620,13 +605,6 @@ pub fn run_wedge_soak(config: &WedgeSoakConfig, clock: Arc<dyn Clock>) -> WedgeS
     outcomes.sort();
     healthy_latencies.sort_unstable();
     wedge_latencies.sort_unstable();
-    let percentile = |sorted: &[u64], p: f64| -> u64 {
-        if sorted.is_empty() {
-            0
-        } else {
-            sorted[((sorted.len() - 1) as f64 * p).round() as usize]
-        }
-    };
 
     WedgeSoakReport {
         config: config.clone(),

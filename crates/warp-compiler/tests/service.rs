@@ -1,11 +1,13 @@
-//! End-to-end tests of the resilient compile service: budgets,
-//! cancellation, graceful degradation, and the circuit breaker driven
-//! against the real pipeline on a deterministic clock — no real sleeps,
-//! no wall-clock flakiness.
+//! End-to-end tests of the compile daemon's job engine: budgets,
+//! cancellation, graceful degradation, the circuit breaker, and load
+//! shedding driven against the real pipeline on a deterministic clock
+//! — no real sleeps, no wall-clock flakiness.
 //!
 //! The deterministic-time trick: a [`ManualClock`] with auto-advance
-//! charges one tick per deadline poll, so "wall time" is the number of
-//! cooperative cancellation checks a job performs. The Table 7-1 corpus
+//! charges one tick per clock read, so "wall time" is the number of
+//! cooperative cancellation checks a job performs (plus a few cache
+//! bookkeeping reads). Every daemon here runs one worker, so no two
+//! jobs ever read the shared clock concurrently. The Table 7-1 corpus
 //! polls a handful of times per compile (eight pass boundaries plus a
 //! few skew-enumeration polls — their timelines are under 10k events),
 //! while the runaway program below enumerates millions of events and
@@ -16,9 +18,11 @@ use std::sync::Arc;
 use warp_common::{CancelReason, CancelToken, ManualClock};
 use warp_compiler::{
     audit::{self, AuditOptions},
-    corpus, CompileFailure, CompileOptions, CompileService, ServiceConfig, Session, SessionCtrl,
+    corpus,
+    daemon::{batch_report, CompileDaemon, DaemonConfig},
+    BatchReport, CompileFailure, CompileOptions, ServiceConfig, Session, SessionCtrl,
 };
-use warp_service::{ExecutorConfig, FailureKind, JobOutcome};
+use warp_service::{Admission, ExecutorConfig, FailureKind, JobOutcome, ShutdownMode};
 
 /// A structurally valid two-cell program whose skew analysis must
 /// enumerate two million I/O events — far beyond any deadline a test
@@ -35,19 +39,38 @@ fn auto_clock() -> Arc<ManualClock> {
     Arc::new(ManualClock::with_auto_advance(0, 1))
 }
 
-fn service(deadline_ticks: u64) -> CompileService {
-    CompileService::new(
+/// A one-worker, memory-only daemon on the auto-advancing clock.
+fn daemon(service: ServiceConfig) -> CompileDaemon {
+    CompileDaemon::new(
         CompileOptions::default(),
-        ServiceConfig {
-            exec: ExecutorConfig {
-                queue_capacity: 16,
-                deadline_ticks,
-                ..ExecutorConfig::default()
+        DaemonConfig {
+            service: ServiceConfig {
+                workers: 1,
+                ..service
             },
-            ..ServiceConfig::default()
+            ..DaemonConfig::default()
         },
         auto_clock(),
     )
+}
+
+fn with_exec(exec: ExecutorConfig) -> ServiceConfig {
+    ServiceConfig {
+        exec,
+        ..ServiceConfig::default()
+    }
+}
+
+/// Submits `(name, source)` pairs, all of which must be admitted.
+fn submit_all(d: &CompileDaemon, jobs: &[(&str, &str)]) -> Vec<usize> {
+    jobs.iter()
+        .map(|(name, source)| d.submit(*name, *source).id().expect("admitted"))
+        .collect()
+}
+
+/// Waits for `ids` and wraps their reports as one batch.
+fn run(d: &CompileDaemon, ids: &[usize]) -> BatchReport {
+    batch_report(d.wait(ids), d.quarantined_names())
 }
 
 /// The acceptance scenario: a pathological job submitted alongside the
@@ -57,19 +80,20 @@ fn service(deadline_ticks: u64) -> CompileService {
 fn runaway_job_is_killed_by_its_budget_while_the_corpus_completes() {
     // 200 polls of budget: corpus programs use ~a dozen each, the
     // runaway needs hundreds before its skew enumeration would finish.
-    let mut svc = service(200);
-    let (first, rest) = corpus::TABLE_7_1.split_at(2);
-    for (name, source) in first {
-        assert!(svc.submit(*name, *source).is_accepted());
-    }
+    let d = daemon(with_exec(ExecutorConfig {
+        queue_capacity: 16,
+        deadline_ticks: 200,
+        ..ExecutorConfig::default()
+    }));
     // Sandwich the runaway between corpus programs: jobs before and
     // after it must be unaffected.
-    assert!(svc.submit("runaway", RUNAWAY).is_accepted());
-    for (name, source) in rest {
-        assert!(svc.submit(*name, *source).is_accepted());
-    }
+    let (first, rest) = corpus::TABLE_7_1.split_at(2);
+    let mut jobs = first.to_vec();
+    jobs.push(("runaway", RUNAWAY));
+    jobs.extend_from_slice(rest);
+    let ids = submit_all(&d, &jobs);
 
-    let batch = svc.run();
+    let batch = run(&d, &ids);
     assert_eq!(batch.jobs.len(), 6);
     assert_eq!(batch.succeeded(), 5, "{}", batch.summary());
     assert_eq!(batch.timed_out(), 1, "{}", batch.summary());
@@ -99,6 +123,7 @@ fn runaway_job_is_killed_by_its_budget_while_the_corpus_completes() {
     let summary = batch.summary();
     assert!(summary.contains("runaway"), "{summary}");
     assert!(summary.contains("timeout"), "{summary}");
+    d.shutdown(ShutdownMode::Drain);
 }
 
 /// A deadline that expires mid-pass (inside the skew enumeration, not
@@ -150,16 +175,12 @@ fn cancelled_session_stops_at_the_first_checkpoint() {
 /// the expensive analyses, with a structured report of the excess.
 #[test]
 fn size_ceiling_rejects_oversized_programs_as_permanent() {
-    let mut svc = CompileService::new(
-        CompileOptions::default(),
-        ServiceConfig {
-            max_cell_cycles: 10_000,
-            ..ServiceConfig::default()
-        },
-        auto_clock(),
-    );
-    assert!(svc.submit("runaway", RUNAWAY).is_accepted());
-    let batch = svc.run();
+    let d = daemon(ServiceConfig {
+        max_cell_cycles: 10_000,
+        ..ServiceConfig::default()
+    });
+    let ids = submit_all(&d, &[("runaway", RUNAWAY)]);
+    let batch = run(&d, &ids);
     let JobOutcome::Failed { kind, error, .. } = &batch.jobs[0].outcome else {
         panic!("expected Failed, got {}", batch.jobs[0].outcome.label());
     };
@@ -177,6 +198,7 @@ fn size_ceiling_rejects_oversized_programs_as_permanent() {
     assert_eq!(*what, "cell cycles");
     assert_eq!(*limit, 10_000);
     assert!(*size > *limit);
+    d.shutdown(ShutdownMode::Drain);
 }
 
 /// When the skew event budget runs out the compile still succeeds with
@@ -185,16 +207,12 @@ fn size_ceiling_rejects_oversized_programs_as_permanent() {
 /// passes — the bound is sound, just not claimed tight.
 #[test]
 fn degraded_skew_fallback_still_passes_the_guarantee_audit() {
-    let mut svc = CompileService::new(
-        CompileOptions::default(),
-        ServiceConfig {
-            skew_max_events: 8,
-            ..ServiceConfig::default()
-        },
-        auto_clock(),
-    );
-    assert!(svc.submit("conv1d", corpus::ONED_CONV).is_accepted());
-    let batch = svc.run();
+    let d = daemon(ServiceConfig {
+        skew_max_events: 8,
+        ..ServiceConfig::default()
+    });
+    let ids = submit_all(&d, &[("conv1d", corpus::ONED_CONV)]);
+    let batch = run(&d, &ids);
     assert_eq!(batch.succeeded(), 1, "{}", batch.summary());
     assert_eq!(batch.degraded(), 1, "{}", batch.summary());
     assert!(batch.is_healthy(), "degraded is not unhealthy");
@@ -217,6 +235,7 @@ fn degraded_skew_fallback_still_passes_the_guarantee_audit() {
         "a degraded bound is sound but not claimed tight: {}",
         tightness.detail
     );
+    d.shutdown(ShutdownMode::Drain);
 }
 
 /// Three consecutive permanent failures trip the per-program breaker:
@@ -227,63 +246,53 @@ fn circuit_breaker_quarantines_a_repeatedly_failing_program() {
     const BROKEN: &str = "module broken (xs in) float xs[4]; \
         cellprogram (cid : 0 : 0) begin function f begin \
         this is not w2; end call f; end";
-    let mut svc = CompileService::new(
-        CompileOptions::default(),
-        ServiceConfig {
-            exec: ExecutorConfig {
-                breaker_threshold: 3,
-                ..ExecutorConfig::default()
-            },
-            ..ServiceConfig::default()
-        },
-        auto_clock(),
-    );
+    let d = daemon(with_exec(ExecutorConfig {
+        breaker_threshold: 3,
+        ..ExecutorConfig::default()
+    }));
     for round in 0..3 {
-        assert!(svc.submit("broken", BROKEN).is_accepted());
-        let batch = svc.run();
+        let ids = submit_all(&d, &[("broken", BROKEN)]);
+        let batch = run(&d, &ids);
         assert_eq!(batch.failed(), 1, "round {round}: {}", batch.summary());
     }
-    assert!(svc.is_quarantined("broken"));
+    assert!(d.is_quarantined("broken"));
 
-    assert!(svc.submit("broken", BROKEN).is_accepted());
-    let batch = svc.run();
+    let ids = submit_all(&d, &[("broken", BROKEN)]);
+    let batch = run(&d, &ids);
     assert_eq!(batch.quarantined_jobs(), 1, "{}", batch.summary());
     assert_eq!(batch.quarantined, vec!["broken".to_owned()]);
     assert!(!batch.is_healthy());
 
-    svc.reset_breaker("broken");
-    assert!(!svc.is_quarantined("broken"));
+    assert!(d.reset_breaker("broken"));
+    assert!(!d.is_quarantined("broken"));
     // A (fixed) program under the same name runs again after the reset.
-    assert!(svc.submit("broken", corpus::POLYNOMIAL).is_accepted());
-    let batch = svc.run();
+    let ids = submit_all(&d, &[("broken", corpus::POLYNOMIAL)]);
+    let batch = run(&d, &ids);
     assert_eq!(batch.succeeded(), 1, "{}", batch.summary());
+    d.shutdown(ShutdownMode::Drain);
 }
 
 /// Load shedding at the admission boundary: a full queue rejects with a
-/// retry hint instead of queueing unboundedly.
+/// retry hint instead of queueing unboundedly. Dispatch is paused so the
+/// burst meets a quiescent queue.
 #[test]
 fn full_queue_sheds_load_with_a_retry_hint() {
-    let mut svc = CompileService::new(
-        CompileOptions::default(),
-        ServiceConfig {
-            exec: ExecutorConfig {
-                queue_capacity: 2,
-                retry_after_ticks: 777,
-                ..ExecutorConfig::default()
-            },
-            ..ServiceConfig::default()
-        },
-        auto_clock(),
-    );
-    assert!(svc.submit("a", corpus::POLYNOMIAL).is_accepted());
-    assert!(svc.submit("b", corpus::POLYNOMIAL).is_accepted());
-    match svc.submit("c", corpus::POLYNOMIAL) {
-        warp_service::Admission::Rejected { retry_after_ticks } => {
+    let d = daemon(with_exec(ExecutorConfig {
+        queue_capacity: 2,
+        retry_after_ticks: 777,
+        ..ExecutorConfig::default()
+    }));
+    d.pause();
+    let ids = submit_all(&d, &[("a", corpus::POLYNOMIAL), ("b", corpus::POLYNOMIAL)]);
+    match d.submit("c", corpus::POLYNOMIAL) {
+        Admission::Rejected { retry_after_ticks } => {
             assert_eq!(retry_after_ticks, 777);
         }
-        warp_service::Admission::Accepted { .. } => panic!("queue of 2 must shed the third job"),
+        Admission::Accepted { .. } => panic!("queue of 2 must shed the third job"),
     }
-    assert_eq!(svc.queue_len(), 2);
-    let batch = svc.run();
+    assert_eq!(d.queue_len(), 2);
+    d.resume();
+    let batch = run(&d, &ids);
     assert_eq!(batch.succeeded(), 2);
+    d.shutdown(ShutdownMode::Drain);
 }

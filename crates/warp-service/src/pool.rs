@@ -1,13 +1,13 @@
-//! The always-on concurrent executor: a shared work queue drained
-//! continuously by a worker pool.
+//! The job engine: a shared work queue drained continuously by a
+//! worker pool.
 //!
-//! Where [`Executor`](crate::Executor) is a *batch* engine — submit,
-//! then drain explicitly — a [`WorkerPool`] is a *service* engine:
-//! workers are spawned at construction and drain the queue the moment
-//! jobs arrive, so [`WorkerPool::submit`] returns a job id immediately
-//! and results are delivered as they complete. Clients collect their
-//! own results with [`WorkerPool::wait`]; a multi-client daemon holds
-//! one pool and each client waits only for its own ids.
+//! A [`WorkerPool`] is the crate's only executor. Workers are spawned
+//! at construction and drain the queue the moment jobs arrive, so
+//! [`WorkerPool::submit`] returns a job id immediately and results are
+//! delivered as they complete. Clients collect their own results with
+//! [`WorkerPool::wait`]; a multi-client daemon holds one pool and each
+//! client waits only for its own ids. A batch is the same thing with a
+//! short life: submit everything, wait for every id, shut down.
 //!
 //! Everything is plain `std::thread` + `Mutex`/`Condvar` on the
 //! injectable [`Clock`] — no async runtime.
@@ -39,12 +39,11 @@
 //! rejected submission produces no report and carries a retry-after
 //! hint instead.
 //!
-//! One deliberate policy difference from the batch executor: a job
-//! that was *externally cancelled* (`CancelReason::Cancelled` — e.g.
-//! an abandoning client) does **not** feed the circuit breaker. The
-//! program itself never failed; punishing its name would let an
+//! A job that was *externally cancelled* (`CancelReason::Cancelled` —
+//! e.g. an abandoning client) does **not** feed the circuit breaker.
+//! The program itself never failed; punishing its name would let an
 //! impatient client quarantine a healthy program. A
-//! `DeadlineExceeded` timeout still feeds the breaker, as before.
+//! `DeadlineExceeded` timeout still feeds the breaker.
 //!
 //! # Supervision
 //!
@@ -91,8 +90,8 @@ pub fn effective_workers(requested: usize) -> usize {
     .max(1)
 }
 
-/// Configuration of a [`WorkerPool`]: the shared executor knobs plus
-/// the pool size.
+/// Configuration of a [`WorkerPool`]: the job-engine knobs plus the
+/// pool size.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Queue, deadline, retry, breaker, and shed parameters.
@@ -252,10 +251,10 @@ impl<T, E> Shared<T, E> {
                 .is_some_and(|b| b.consecutive >= self.config.breaker_threshold)
     }
 
-    /// Folds one finished job into the breaker. Same policy as the
-    /// batch executor except that an externally-cancelled job that
-    /// never ran (`Cancelled`, zero attempts) is ignored: the program
-    /// was not at fault.
+    /// Folds one finished job into the breaker: success resets it;
+    /// permanent failures, deadline timeouts, panics and wedges count;
+    /// transient exhaustion and external cancellation (`Cancelled`)
+    /// are ignored, because the program was not at fault.
     fn absorb_locked(&self, state: &mut PoolState<T, E>, report: &JobReport<T, E>) {
         if self.config.breaker_threshold == 0 {
             return;
@@ -485,7 +484,7 @@ fn supervisor_loop<T: Send + 'static, E: Send + 'static>(
     }
 }
 
-/// The always-on concurrent executor. See the module docs for the
+/// The always-on concurrent job engine. See the module docs for the
 /// dispatch, determinism, and shutdown contracts.
 ///
 /// # Examples
@@ -507,16 +506,6 @@ pub struct WorkerPool<T, E> {
     shared: Arc<Shared<T, E>>,
     supervisor: Mutex<Option<std::thread::JoinHandle<()>>>,
     n_workers: usize,
-}
-
-impl Admission {
-    /// The accepted job id, if any.
-    pub fn id(&self) -> Option<usize> {
-        match self {
-            Admission::Accepted { id, .. } => Some(*id),
-            Admission::Rejected { .. } => None,
-        }
-    }
 }
 
 impl<T: Send + 'static, E: Send + 'static> WorkerPool<T, E> {
@@ -1060,6 +1049,8 @@ mod tests {
         let stats = p.stats();
         assert_eq!(stats.shed, 2);
         assert!(stats.max_queue_depth <= 3);
+        // Capacity freed: a shed job is admissible on resubmit.
+        assert!(p.submit("j3", |_| Ok(JobSuccess::full(3))).is_accepted());
         p.shutdown(ShutdownMode::Drain);
     }
 
@@ -1095,7 +1086,14 @@ mod tests {
                     "quarantined"
                 ]
             );
+            assert_eq!(
+                reports[2].outcome,
+                JobOutcome::Quarantined {
+                    consecutive_failures: 2
+                }
+            );
             assert!(p.is_quarantined("bad"));
+            assert_eq!(p.quarantined_names(), ["bad"]);
             assert!(p.reset_breaker("bad"));
             assert!(!p.reset_breaker("bad"), "second reset has no history");
             assert!(!p.reset_breaker("never-seen"));
@@ -1117,9 +1115,10 @@ mod tests {
         else {
             panic!("accepted");
         };
+        let bystander = p.submit("bystander", |_| Ok(JobSuccess::full(2)));
         cancel.cancel();
         p.resume();
-        let reports = p.wait(&[id]);
+        let reports = p.wait(&[id, bystander.id().unwrap()]);
         assert_eq!(
             reports[0].outcome,
             JobOutcome::TimedOut {
@@ -1127,6 +1126,7 @@ mod tests {
                 attempts: 0
             }
         );
+        assert!(reports[1].outcome.is_success(), "only the victim stops");
         assert!(
             !p.is_quarantined("healthy"),
             "an abandoning client must not quarantine a healthy name"
@@ -1220,7 +1220,6 @@ mod tests {
                 workers: 2,
                 supervise_grace_ticks: 100,
                 supervise_interval_ms: SUPERVISE_MANUAL,
-                ..PoolConfig::default()
             },
             clock.clone(),
         );
@@ -1352,7 +1351,13 @@ mod tests {
     fn panic_is_contained_and_counted() {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let p = pool(2, ExecutorConfig::default());
+        let p = pool(
+            2,
+            ExecutorConfig {
+                breaker_threshold: 1,
+                ..ExecutorConfig::default()
+            },
+        );
         let bomb = p
             .submit("bomb", |_| panic!("chaos: injected"))
             .id()
@@ -1360,9 +1365,186 @@ mod tests {
         let ok = p.submit("ok", |_| Ok(JobSuccess::full(1))).id().unwrap();
         let reports = p.wait(&[bomb, ok]);
         std::panic::set_hook(hook);
-        assert!(matches!(reports[0].outcome, JobOutcome::Panicked { .. }));
+        match &reports[0].outcome {
+            JobOutcome::Panicked { what, attempts } => {
+                assert!(what.contains("chaos: injected"), "{what}");
+                assert_eq!(*attempts, 1);
+            }
+            other => panic!("expected Panicked, got {other:?}"),
+        }
         assert!(reports[1].outcome.is_success());
         assert_eq!(p.stats().panicked, 1);
+        // Panics feed the breaker.
+        assert!(p.is_quarantined("bomb"));
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn transient_failures_retry_with_deterministic_backoff() {
+        let config = ExecutorConfig {
+            max_attempts: 3,
+            ..ExecutorConfig::default()
+        };
+        let p = pool(1, config.clone());
+        let tries = Arc::new(AtomicU32::new(0));
+        let t = tries.clone();
+        let id = p
+            .submit("flaky", move |_| {
+                if t.fetch_add(1, Ordering::SeqCst) < 2 {
+                    Err(JobFailure::transient("hiccup".to_owned()))
+                } else {
+                    Ok(JobSuccess::full(7))
+                }
+            })
+            .id()
+            .unwrap();
+        let reports = p.wait(&[id]);
+        assert_eq!(reports[0].outcome, JobOutcome::Success(JobSuccess::full(7)));
+        assert_eq!(tries.load(Ordering::SeqCst), 3);
+        // Wall time is exactly the two backoff sleeps — the ManualClock
+        // advances only inside sleep_ticks.
+        let expected =
+            crate::backoff_ticks(&config, "flaky", 1) + crate::backoff_ticks(&config, "flaky", 2);
+        assert_eq!(reports[0].wall_ticks, expected);
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn transient_exhaustion_reports_final_error() {
+        let p = pool(
+            1,
+            ExecutorConfig {
+                max_attempts: 2,
+                breaker_threshold: 1,
+                ..ExecutorConfig::default()
+            },
+        );
+        let id = p
+            .submit("flaky", |_| {
+                Err(JobFailure::transient("still down".to_owned()))
+            })
+            .id()
+            .unwrap();
+        let reports = p.wait(&[id]);
+        assert_eq!(
+            reports[0].outcome,
+            JobOutcome::Failed {
+                kind: FailureKind::Transient,
+                error: "still down".to_owned(),
+                attempts: 2,
+            }
+        );
+        // Transient exhaustion does not feed the breaker.
+        assert!(!p.is_quarantined("flaky"));
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn deadline_ends_job_between_retries_with_structured_timeout() {
+        let p = pool(
+            1,
+            ExecutorConfig {
+                max_attempts: 10,
+                deadline_ticks: 3_000, // less than two backoff sleeps
+                ..ExecutorConfig::default()
+            },
+        );
+        let id = p
+            .submit("doomed", |_| Err(JobFailure::transient("flap".to_owned())))
+            .id()
+            .unwrap();
+        let reports = p.wait(&[id]);
+        match &reports[0].outcome {
+            JobOutcome::TimedOut { reason, attempts } => {
+                assert!(
+                    matches!(reason, CancelReason::DeadlineExceeded { .. }),
+                    "{reason:?}"
+                );
+                assert!(*attempts >= 1 && *attempts < 10, "{attempts}");
+            }
+            other => panic!("expected TimedOut, got {other:?}"),
+        }
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn cooperative_job_observes_deadline_mid_attempt() {
+        // The job polls its token like the compiler's pass boundaries
+        // do; the auto-advancing clock makes each poll cost 100 ticks.
+        let p: TestPool = WorkerPool::new(
+            PoolConfig {
+                exec: ExecutorConfig {
+                    deadline_ticks: 1_000,
+                    ..ExecutorConfig::default()
+                },
+                workers: 1,
+                ..PoolConfig::default()
+            },
+            Arc::new(ManualClock::with_auto_advance(0, 100)),
+        );
+        let polls = Arc::new(AtomicU32::new(0));
+        let counter = polls.clone();
+        let id = p
+            .submit("spinner", move |ctx| loop {
+                counter.fetch_add(1, Ordering::SeqCst);
+                if let Err(reason) = ctx.cancel.check() {
+                    return Err(JobFailure::timeout(reason.to_string()));
+                }
+            })
+            .id()
+            .unwrap();
+        let reports = p.wait(&[id]);
+        match &reports[0].outcome {
+            JobOutcome::TimedOut { reason, attempts } => {
+                assert!(matches!(reason, CancelReason::DeadlineExceeded { .. }));
+                assert_eq!(*attempts, 1);
+            }
+            other => panic!("expected TimedOut, got {other:?}"),
+        }
+        // ~12 polls: deadline armed at tick 100, each check reads the
+        // clock once. Bounded and deterministic either way.
+        assert!(polls.load(Ordering::SeqCst) < 20);
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn success_resets_breaker_history() {
+        let p = pool(
+            1,
+            ExecutorConfig {
+                breaker_threshold: 2,
+                ..ExecutorConfig::default()
+            },
+        );
+        let fail = |_: &JobCtx| Err(JobFailure::permanent("no".to_owned()));
+        let ids = [
+            p.submit("waver", fail).id().unwrap(),
+            p.submit("waver", |_| Ok(JobSuccess::full(1))).id().unwrap(),
+            p.submit("waver", fail).id().unwrap(),
+        ];
+        let reports = p.wait(&ids);
+        // fail, success (resets), fail: never reaches 2 consecutive.
+        assert!(!p.is_quarantined("waver"));
+        assert!(reports[1].outcome.is_success());
+        p.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn degraded_success_is_flagged_not_failed() {
+        let p = pool(1, ExecutorConfig::default());
+        let id = p
+            .submit("big", |_| {
+                Ok(JobSuccess {
+                    value: 1,
+                    degraded: true,
+                })
+            })
+            .id()
+            .unwrap();
+        let reports = p.wait(&[id]);
+        assert!(reports[0].outcome.is_success());
+        assert!(reports[0].outcome.is_degraded());
+        assert_eq!(reports[0].outcome.label(), "degraded");
         p.shutdown(ShutdownMode::Drain);
     }
 }

@@ -1,9 +1,9 @@
 //! Regenerates the Table 7-1 metrics (and the companion analyses) for
 //! all corpus programs — the numbers recorded in EXPERIMENTS.md.
 //!
-//! The corpus is batch-compiled with [`compile_many`] (the same scoped
-//! thread pool behind `w2c --corpus all`), then a per-pass wall-clock
-//! breakdown is printed for the first program.
+//! The corpus is batch-compiled with [`compile_many`] (a client of the
+//! compile daemon's worker pool, like `w2c --corpus all`), then a
+//! per-pass wall-clock breakdown is printed for the first program.
 //!
 //! ```sh
 //! cargo run --release --example metrics
